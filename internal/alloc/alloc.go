@@ -287,24 +287,12 @@ func (p *Problem) Validate(r *Result) error {
 		return fmt.Errorf("alloc: result covers %d of %d vertices", len(r.Allocated), p.N())
 	}
 	if p.Constraints != nil && p.Cliques != nil {
-		// Machine-constrained instance: pressure is per register class —
-		// at most cap(c) allocated members of class c per live set.
 		f := p.Cliques.F
-		for _, ls := range p.LiveSets {
-			var count [ir.NumClasses]int
-			for _, v := range ls {
-				if r.Allocated[v] {
-					count[f.ClassOf(p.Cliques.ValueOf[v])]++
-				}
-			}
-			for c := ir.Class(0); c < ir.NumClasses; c++ {
-				if count[c] > p.Constraints.Cap(c) {
-					return fmt.Errorf("alloc: %s: live set %v keeps %d %s values > class capacity %d",
-						r.Allocator, ls, count[c], c, p.Constraints.Cap(c))
-				}
-			}
+		classOf := make([]ir.Class, f.NumValues)
+		for v, c := range f.ValueClass {
+			classOf[v] = c
 		}
-		return nil
+		return p.ValidateClasses(r, classOf)
 	}
 	for _, ls := range p.LiveSets {
 		count := 0
@@ -316,6 +304,32 @@ func (p *Problem) Validate(r *Result) error {
 		if count > p.R {
 			return fmt.Errorf("alloc: %s: live set %v keeps %d > R=%d variables",
 				r.Allocator, ls, count, p.R)
+		}
+	}
+	return nil
+}
+
+// ValidateClasses is Validate for a machine-constrained instance
+// (Constraints and Cliques set) whose register classes the caller already
+// holds densely: classOf[v] is the class of value v. Pressure is per
+// register class — at most cap(c) allocated members of class c per live
+// set.
+func (p *Problem) ValidateClasses(r *Result, classOf []ir.Class) error {
+	if len(r.Allocated) != p.N() {
+		return fmt.Errorf("alloc: result covers %d of %d vertices", len(r.Allocated), p.N())
+	}
+	for _, ls := range p.LiveSets {
+		var count [ir.NumClasses]int
+		for _, v := range ls {
+			if r.Allocated[v] {
+				count[classOf[p.Cliques.ValueOf[v]]]++
+			}
+		}
+		for c := ir.Class(0); c < ir.NumClasses; c++ {
+			if count[c] > p.Constraints.Cap(c) {
+				return fmt.Errorf("alloc: %s: live set %v keeps %d %s values > class capacity %d",
+					r.Allocator, ls, count[c], c, p.Constraints.Cap(c))
+			}
 		}
 	}
 	return nil

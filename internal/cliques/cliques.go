@@ -74,6 +74,10 @@ type Structure struct {
 	CliqueIdx []int32
 
 	degrees []int // lazy, see Degrees
+	// Memory a projected structure keeps for reuse by the next Project into
+	// it: the backing storage of Sets and the last degree table.
+	setSlab []int
+	degBuf  []int
 }
 
 // Reason classifies why the plain IFG-free fast path cannot be used
@@ -171,6 +175,11 @@ type Scratch struct {
 	arena  bitset.Arena
 	intern *bitset.Interner
 	vsBuf  []int
+	// Project's interner (apart from Derive's, whose table is larger;
+	// created on first use) and its full-to-projected vertex and set maps.
+	projIntern *bitset.Interner
+	vertexMap  []int
+	setMap     []int32
 }
 
 // NewScratch returns an empty reusable scratch.
@@ -185,7 +194,7 @@ func NewScratch() *Scratch { return &Scratch{intern: bitset.NewInterner(64)} }
 // nil on most non-applicable inputs, but Applicable is the documented
 // contract).
 func Derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch) *Structure {
-	return derive(info, dom, nil, scratch, nil)
+	return derive(info, dom, scratch, nil)
 }
 
 // DeriveBudget is Derive under a resource budget: each derivation phase
@@ -195,29 +204,14 @@ func Derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch) *Structure
 // budget tripped mid-derivation, (nil, nil) when a structural assumption
 // failed and the caller should fall back to the explicit-graph path.
 func DeriveBudget(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, m *budget.Meter) (*Structure, error) {
-	s := derive(info, dom, nil, scratch, m)
+	s := derive(info, dom, scratch, m)
 	if s == nil && m.Exceeded() {
 		return nil, m.Err()
 	}
 	return s, nil
 }
 
-// DeriveSubset builds the clique structure of the subgraph induced by the
-// values with include[v] set: live sets are projected onto the subset, the
-// elimination order is the corresponding subsequence of the dominance PEO
-// (induced subgraphs of chordal graphs are chordal, and a subsequence of a
-// PEO is a PEO of the induced subgraph), and MaxLive is the subset's own
-// pressure peak. The machine-constrained driver uses it to carve one
-// chordal subproblem per register class. Values outside the subset simply
-// vanish; the same fallback contract as Derive applies.
-func DeriveSubset(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scratch) *Structure {
-	if include == nil {
-		panic("cliques: DeriveSubset requires an include mask")
-	}
-	return derive(info, dom, include, scratch, nil)
-}
-
-func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scratch, meter *budget.Meter) *Structure {
+func derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, meter *budget.Meter) *Structure {
 	if scratch == nil {
 		scratch = NewScratch()
 	}
@@ -234,11 +228,10 @@ func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scr
 	}
 
 	// Vertex numbering: every value that is defined, used, or live anywhere,
-	// ascending — byte-identical to the ifg.Build numbering. In subset mode,
-	// excluded values get no vertex.
+	// ascending — byte-identical to the ifg.Build numbering.
 	present := arena.Set(nv)
 	mark := func(v int) {
-		if v >= 0 && v < nv && (include == nil || include[v]) {
+		if v >= 0 && v < nv {
 			present.Add(v)
 		}
 	}
@@ -277,7 +270,6 @@ func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scr
 	pointSet := arena.Ints(len(info.Points))
 	pointSet = pointSet[:len(info.Points)]
 	intern := scratch.intern
-	subsetMax := 0
 	for pi, p := range info.Points {
 		vs := scratch.vsBuf[:0]
 		for _, v := range p.Live {
@@ -290,15 +282,8 @@ func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scr
 			pointSet[pi] = -1
 			continue
 		}
-		if include != nil && len(vs) > subsetMax {
-			subsetMax = len(vs)
-		}
 		idx, _ := intern.Intern(vs)
 		pointSet[pi] = idx
-	}
-	if include != nil {
-		// MaxLive is the subset's own pressure peak, not the function's.
-		s.MaxLive = subsetMax
 	}
 
 	// Def-point sets. Every vertex must have a recorded definition instant;
@@ -312,13 +297,11 @@ func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scr
 		s.DefSetOf[vx] = int32(pointSet[dp])
 	}
 
-	// PEO: reverse definition order along a dominance-tree preorder. In
-	// subset mode, defs of excluded values are simply skipped (the caller
-	// established the full structure first).
+	// PEO: reverse definition order along a dominance-tree preorder.
 	if !meter.Charge(n) {
 		return nil
 	}
-	s.PEO = dominancePEOMode(f, dom, s.VertexOf, n, include != nil, arena)
+	s.PEO = dominancePEO(f, dom, s.VertexOf, n, arena)
 	if s.PEO == nil {
 		return nil
 	}
@@ -340,9 +323,16 @@ func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scr
 		slab = append(slab, set...)
 		s.Sets[i] = slab[start:len(slab):len(slab)]
 	}
+	s.index(total, arena.Ints(n)[:n])
+	return s
+}
 
-	// CSR membership index.
-	s.CliqueOff = make([]int32, n+1)
+// index builds the CSR membership index of s from its Sets, which hold
+// total members altogether; fill is scratch of length N. Index slices s
+// already owns are reused.
+func (s *Structure) index(total int, fill []int) {
+	n := s.N
+	s.CliqueOff = resizeInt32(s.CliqueOff, n+1)
 	for _, set := range s.Sets {
 		for _, v := range set {
 			s.CliqueOff[v+1]++
@@ -351,9 +341,7 @@ func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scr
 	for v := 0; v < n; v++ {
 		s.CliqueOff[v+1] += s.CliqueOff[v]
 	}
-	s.CliqueIdx = make([]int32, total)
-	fill := arena.Ints(n)
-	fill = fill[:n]
+	s.CliqueIdx = resizeInt32(s.CliqueIdx, total)
 	for v := range fill {
 		fill[v] = int(s.CliqueOff[v])
 	}
@@ -363,7 +351,143 @@ func derive(info *liveness.Info, dom *ir.Dominance, include []bool, scratch *Scr
 			fill[v]++
 		}
 	}
+}
+
+// resizeInt32 returns s resized to n with every element zero.
+func resizeInt32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	s = s[:n]
+	clear(s)
 	return s
+}
+
+// Project returns the clique structure of the subgraph induced by the
+// values with include[v] set (include is indexed by value ID): the vertices
+// keep their relative order, each live set is projected onto the subset,
+// the elimination order is the corresponding subsequence of s.PEO (induced
+// subgraphs of chordal graphs are chordal, and a subsequence of a PEO is a
+// PEO of the induced subgraph), and MaxLive is the subset's own pressure
+// peak. The result equals a derivation from liveness restricted to the
+// subset: the projections are interned in the order of s.Sets, which is the
+// order of their first program point. The machine-constrained driver uses it
+// to carve one chordal subproblem per register class out of the one
+// structure it derives.
+//
+// When the mask keeps every vertex, Project returns s itself. Otherwise the
+// result is written into dst, reusing the memory it holds from an earlier
+// Project (a nil dst allocates a new Structure); it shares nothing with s or
+// the scratch, and is valid until dst is projected into again. A nil
+// scratch uses private transient memory.
+func (s *Structure) Project(include []bool, dst *Structure, scratch *Scratch) *Structure {
+	if scratch == nil {
+		scratch = NewScratch()
+	}
+	if cap(scratch.vertexMap) < s.N {
+		scratch.vertexMap = make([]int, s.N)
+	}
+	newOf := scratch.vertexMap[:s.N]
+	n := 0
+	for vx, val := range s.ValueOf {
+		newOf[vx] = -1
+		if include[val] {
+			newOf[vx] = n
+			n++
+		}
+	}
+	if n == s.N {
+		return s
+	}
+	if dst == nil {
+		dst = &Structure{}
+	}
+	if dst.degrees != nil {
+		dst.degBuf = dst.degrees
+	}
+	dst.F, dst.N, dst.degrees = s.F, n, nil
+
+	if cap(dst.VertexOf) < len(s.VertexOf) {
+		dst.VertexOf = make([]int, len(s.VertexOf))
+	}
+	dst.VertexOf = dst.VertexOf[:len(s.VertexOf)]
+	for i := range dst.VertexOf {
+		dst.VertexOf[i] = -1
+	}
+	dst.ValueOf = dst.ValueOf[:0]
+	for vx, val := range s.ValueOf {
+		if newOf[vx] >= 0 {
+			dst.VertexOf[val] = newOf[vx]
+			dst.ValueOf = append(dst.ValueOf, val)
+		}
+	}
+	dst.PEO = dst.PEO[:0]
+	for _, vx := range s.PEO {
+		if newOf[vx] >= 0 {
+			dst.PEO = append(dst.PEO, newOf[vx])
+		}
+	}
+
+	// Project every set; distinct full sets may coincide on the subset, so
+	// the projections are interned again.
+	if scratch.projIntern == nil {
+		scratch.projIntern = bitset.NewInterner(64)
+	}
+	intern := scratch.projIntern
+	intern.Reset()
+	if cap(scratch.setMap) < len(s.Sets) {
+		scratch.setMap = make([]int32, len(s.Sets))
+	}
+	setMap := scratch.setMap[:len(s.Sets)]
+	dst.MaxLive = 0
+	vs := scratch.vsBuf
+	for i, set := range s.Sets {
+		vs = vs[:0]
+		for _, vx := range set {
+			if nx := newOf[vx]; nx >= 0 {
+				vs = append(vs, nx)
+			}
+		}
+		if len(vs) == 0 {
+			setMap[i] = -1
+			continue
+		}
+		dst.MaxLive = max(dst.MaxLive, len(vs))
+		idx, _ := intern.Intern(vs)
+		setMap[i] = int32(idx)
+	}
+	scratch.vsBuf = vs
+	interned := intern.Sets()
+	total := 0
+	for _, set := range interned {
+		total += len(set)
+	}
+	slab := dst.setSlab[:0]
+	for _, set := range interned {
+		slab = append(slab, set...)
+	}
+	dst.setSlab = slab
+	dst.Sets = dst.Sets[:0]
+	start := 0
+	for _, set := range interned {
+		end := start + len(set)
+		dst.Sets = append(dst.Sets, slab[start:end:end])
+		start = end
+	}
+
+	// A vertex's def-point set projects to the def-point set of the subset
+	// (it contains the vertex itself, so the projection is never empty).
+	if cap(dst.DefSetOf) < n {
+		dst.DefSetOf = make([]int32, n)
+	}
+	dst.DefSetOf = dst.DefSetOf[:n]
+	for vx, nx := range newOf {
+		if nx >= 0 {
+			dst.DefSetOf[nx] = setMap[s.DefSetOf[vx]]
+		}
+	}
+	dst.index(total, newOf[:n])
+	return dst
 }
 
 // DominancePEO returns the vertices of a strict-SSA function in reverse
@@ -382,22 +506,12 @@ func DominancePEO(f *ir.Func, dom *ir.Dominance, vertexOf []int, n int) []int {
 // dominance-tree preorder, or nil when some vertex lacks a (unique)
 // definition in reachable code.
 func dominancePEO(f *ir.Func, dom *ir.Dominance, vertexOf []int, n int, arena *bitset.Arena) []int {
-	return dominancePEOMode(f, dom, vertexOf, n, false, arena)
-}
-
-// dominancePEOMode is dominancePEO with subset tolerance: with lenient set,
-// a definition whose value has no vertex is skipped rather than treated as
-// a structural failure (subset derivations exclude values on purpose).
-func dominancePEOMode(f *ir.Func, dom *ir.Dominance, vertexOf []int, n int, lenient bool, arena *bitset.Arena) []int {
 	peo := make([]int, n)
 	next := n // fill from the back: first-defined vertex ends up last
 	seen := arena.Set(n)
 	emit := func(val int) bool {
 		vx := vertexOf[val]
-		if vx < 0 {
-			return lenient
-		}
-		if seen.Has(vx) {
+		if vx < 0 || seen.Has(vx) {
 			return false
 		}
 		seen.Add(vx)
@@ -515,7 +629,13 @@ func (s *Structure) Degrees() []int {
 	if s.degrees != nil {
 		return s.degrees
 	}
-	deg := make([]int, s.N)
+	deg := s.degBuf
+	if cap(deg) < s.N {
+		deg = make([]int, s.N)
+	} else {
+		deg = deg[:s.N]
+		clear(deg)
+	}
 	for v := 0; v < s.N; v++ {
 		for _, u := range s.Sets[s.DefSetOf[v]] {
 			if u != v {

@@ -10,6 +10,7 @@
 package coalesce
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cliques"
@@ -32,8 +33,19 @@ type VMove struct {
 // predecessor's frequency) and OpCopy instructions. Self-moves (dst == src)
 // carry no cost and are skipped.
 func MovesFromFunc(f *ir.Func, model spillcost.Model) []VMove {
+	return appendMoves(nil, f, model)
+}
+
+// Moves is MovesFromFunc into the scratch's memory: the result is valid
+// until the next call.
+func (sc *BiasScratch) Moves(f *ir.Func, model spillcost.Model) []VMove {
+	sc.moves = appendMoves(sc.moves[:0], f, model)
+	return sc.moves
+}
+
+// appendMoves appends the moves of f to out.
+func appendMoves(out []VMove, f *ir.Func, model spillcost.Model) []VMove {
 	freqs := spillcost.BlockFrequencies(f, model)
-	var out []VMove
 	add := func(dst, src int, cost float64) {
 		if dst < 0 || src < 0 || dst == src {
 			return
@@ -66,19 +78,6 @@ func TotalCost(moves []VMove) float64 {
 	return c
 }
 
-// FilterClass keeps only the moves whose endpoints are both of register
-// class c (the constrained driver biases each per-class subproblem
-// separately: endpoints of different classes can never share a register).
-func FilterClass(moves []VMove, f *ir.Func, c ir.Class) []VMove {
-	var out []VMove
-	for _, m := range moves {
-		if f.ClassOf(m.Dst) == c && f.ClassOf(m.Src) == c {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Affinity is the result of clique-native affinity construction: a partition
 // of copy-related, non-interfering values into preference classes.
 type Affinity struct {
@@ -104,6 +103,10 @@ type BiasScratch struct {
 	adjCount  []int32  // members adjacent to this neighbour
 	neighbors []int32
 	epoch     uint32
+
+	moves   []VMove                // Moves
+	sorted  []VMove                // moves by decreasing cost
+	byClass [ir.NumClasses][]VMove // constrained: sorted moves per register class
 }
 
 func (sc *BiasScratch) grow(n int) {
@@ -156,6 +159,62 @@ func BuildAffinity(cs *cliques.Structure, moves []VMove, policy Policy, r int, s
 	if sc == nil {
 		sc = &BiasScratch{}
 	}
+	return sc.merge(cs, sc.sortMoves(moves), policy, r, nil)
+}
+
+// BuildAffinityConstrained builds the affinity partition of a
+// machine-constrained function: one BuildAffinity pass per register class
+// over the class's own moves (endpoints of different classes can never share
+// a register) against the class capacity, merged into a single table with
+// disjoint class IDs. The Briggs test uses the full structure's degrees (an
+// over-estimate of the per-class induced subgraph's), which only makes
+// Conservative refuse more merges — never unsound.
+func BuildAffinityConstrained(cs *cliques.Structure, f *ir.Func, moves []VMove, policy Policy, caps [ir.NumClasses]int, sc *BiasScratch) *Affinity {
+	if policy == Off || len(moves) == 0 || cs.N == 0 {
+		return nil
+	}
+	if sc == nil {
+		sc = &BiasScratch{}
+	}
+	// Filtering the sorted list keeps each class's moves in the order a
+	// stable sort of that class alone would give.
+	for c := range sc.byClass {
+		sc.byClass[c] = sc.byClass[c][:0]
+	}
+	for _, m := range sc.sortMoves(moves) {
+		if c := f.ClassOf(m.Dst); c == f.ClassOf(m.Src) && caps[c] > 0 {
+			sc.byClass[c] = append(sc.byClass[c], m)
+		}
+	}
+	var aff *Affinity
+	for c, cm := range sc.byClass {
+		if len(cm) > 0 {
+			aff = sc.merge(cs, cm, policy, caps[c], aff)
+		}
+	}
+	return aff
+}
+
+// sortMoves returns a copy of moves in scratch memory, stably sorted by
+// decreasing cost (most valuable merges first, matching Run).
+func (sc *BiasScratch) sortMoves(moves []VMove) []VMove {
+	sc.sorted = append(sc.sorted[:0], moves...)
+	slices.SortStableFunc(sc.sorted, func(a, b VMove) int {
+		switch {
+		case a.Cost > b.Cost:
+			return -1
+		case a.Cost < b.Cost:
+			return 1
+		}
+		return 0
+	})
+	return sc.sorted
+}
+
+// merge groups the endpoints of sorted (by decreasing cost) into affinity
+// classes against r registers and adds them to aff under fresh class IDs. It
+// returns aff, allocated on the first class formed; nil when none forms.
+func (sc *BiasScratch) merge(cs *cliques.Structure, sorted []VMove, policy Policy, r int, aff *Affinity) *Affinity {
 	n := cs.N
 	sc.grow(n)
 	for i := 0; i < n; i++ {
@@ -177,9 +236,6 @@ func BuildAffinity(cs *cliques.Structure, moves []VMove, policy Policy, r int, s
 		}
 		return sc.members[root]
 	}
-
-	sorted := append([]VMove(nil), moves...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Cost > sorted[j].Cost })
 
 	merged := 0
 	for _, m := range sorted {
@@ -210,13 +266,16 @@ func BuildAffinity(cs *cliques.Structure, moves []VMove, policy Policy, r int, s
 		merged++
 	}
 	if merged == 0 {
-		return nil
+		return aff
 	}
 
-	aff := &Affinity{ClassOf: make([]int32, len(cs.VertexOf)), Merged: merged}
-	for i := range aff.ClassOf {
-		aff.ClassOf[i] = -1
+	if aff == nil {
+		aff = &Affinity{ClassOf: make([]int32, len(cs.VertexOf))}
+		for i := range aff.ClassOf {
+			aff.ClassOf[i] = -1
+		}
 	}
+	aff.Merged += merged
 	// Class IDs in ascending vertex order of the representative: deterministic.
 	for v := 0; v < n; v++ {
 		if sc.parent[v] == int32(v) && len(sc.members[v]) > 1 {
@@ -228,41 +287,6 @@ func BuildAffinity(cs *cliques.Structure, moves []VMove, policy Policy, r int, s
 		}
 	}
 	return aff
-}
-
-// BuildAffinityConstrained builds the affinity partition of a
-// machine-constrained function: one BuildAffinity pass per register class
-// over the class's own moves against the class capacity, merged into a
-// single table with disjoint class IDs. The Briggs test uses the full
-// structure's degrees (an over-estimate of the per-class induced subgraph's),
-// which only makes Conservative refuse more merges — never unsound.
-func BuildAffinityConstrained(cs *cliques.Structure, f *ir.Func, moves []VMove, policy Policy, caps [ir.NumClasses]int, sc *BiasScratch) *Affinity {
-	var merged *Affinity
-	for c := ir.Class(0); c < ir.NumClasses; c++ {
-		if caps[c] == 0 {
-			continue
-		}
-		cm := FilterClass(moves, f, c)
-		if len(cm) == 0 {
-			continue
-		}
-		aff := BuildAffinity(cs, cm, policy, caps[c], sc)
-		if aff == nil {
-			continue
-		}
-		if merged == nil {
-			merged = aff
-			continue
-		}
-		for v, cl := range aff.ClassOf {
-			if cl >= 0 {
-				merged.ClassOf[v] = cl + int32(merged.NumClasses)
-			}
-		}
-		merged.NumClasses += aff.NumClasses
-		merged.Merged += aff.Merged
-	}
-	return merged
 }
 
 // classesInterfere reports whether any member of a interferes with any

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/alloc/layered"
@@ -75,7 +76,23 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 		return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain",
 			Err: fmt.Errorf("%w: %s", raerr.ErrNotSSA, reason)}
 	}
-	if err := checkMachineCompat(f, cons); err != nil {
+
+	// Per-function scratch: the Runner's when there is one. Nothing below
+	// that lives in it reaches the Outcome.
+	var sc *constrainedScratch
+	var csScratch *cliques.Scratch
+	var ra *regassign.Scratch
+	if runner != nil {
+		if runner.con == nil {
+			runner.con = &constrainedScratch{}
+		}
+		sc, csScratch, ra = runner.con, runner.cs, runner.ra
+	} else {
+		sc, csScratch, ra = &constrainedScratch{}, cliques.NewScratch(), regassign.NewScratch()
+	}
+	nv := f.NumValues
+	rc := sc.reset(f, caps)
+	if err := checkMachineCompat(f, cons, rc); err != nil {
 		return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain", Err: err}
 	}
 
@@ -85,7 +102,7 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 	// here too (the normal path already force-spills pinned values when
 	// their constraints admit no register).
 	m := budget.NewMeter(cfg.Budget)
-	if be := cfg.Budget.Admit(f.NumValues, len(f.Blocks)); be != nil {
+	if be := cfg.Budget.Admit(nv, len(f.Blocks)); be != nil {
 		if !cfg.Degrade {
 			return nil, &raerr.FuncError{Func: f.Name, Stage: "admission", Err: be}
 		}
@@ -95,10 +112,8 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 	f.ComputeLoops(dom)
 	m.SetStage(raerr.StageLiveness)
 	var info *liveness.Info
-	var csScratch *cliques.Scratch
 	if runner != nil {
 		info, err = runner.live.ComputeBudget(f, m)
-		csScratch = runner.cs
 	} else {
 		info, err = liveness.ComputeBudget(f, m)
 	}
@@ -129,24 +144,15 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 			Err: fmt.Errorf("%w: clique-structure derivation failed", raerr.ErrNotSSA)}
 	}
 
-	nv := f.NumValues
-	pins := make([]int, nv)
-	for i := range pins {
-		pins[i] = regassign.NoReg
-	}
-	for v, pin := range f.PreColor {
-		pins[v] = pin
-	}
-	forced := make([]bool, nv)
-	forbid := make([]uint64, nv)
-	callSpans := collectCallSpans(f, info)
+	classes, pins, forced, forbid := rc.Class, rc.Pins, sc.forced, rc.Forbid
+	callSpans := ra.LiveThroughCalls(info)
 
 	// Pass 1 — a pre-colored value whose pin a spanned call clobbers cannot
 	// keep its register across that call: forced spill.
-	for _, span := range callSpans {
-		for _, v := range span.live {
-			if pin := pins[v]; pin != regassign.NoReg &&
-				span.clob[ir.RegClassOf(pin)]&(1<<uint(ir.RegIndexOf(pin))) != 0 {
+	for i := range callSpans {
+		span := &callSpans[i]
+		for _, v := range span.Live {
+			if span.Clobbers(pins[v]) {
 				forced[v] = true
 			}
 		}
@@ -167,7 +173,7 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 			}
 			c, idx := ir.RegClassOf(pin), ir.RegIndexOf(pin)
 			for _, v := range live {
-				if v == pv || f.ClassOf(v) != c {
+				if v == pv || classes[v] != c {
 					continue
 				}
 				switch {
@@ -181,38 +187,36 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 					forbid[v] |= 1 << uint(idx)
 				}
 			}
-			if forced[pv] {
-				break // lost its pin above; it bans nothing anymore
-			}
+			// A pv that lost its pin here leaves the scan over this point
+			// running: the other pinned values live here still ban their
+			// registers.
 		}
 	}
 
 	// Pass 3 — per-call class pressure. A call leaves cap − |clobbered ∩
 	// [0,cap)| registers of each class for the values that live through it;
 	// beyond that the cheapest survivors spill.
-	for _, span := range callSpans {
-		var cnt [ir.NumClasses]int
-		var byClass [ir.NumClasses][]int
-		for _, v := range span.live {
-			if !forced[v] {
-				c := f.ClassOf(v)
-				cnt[c]++
-				byClass[c] = append(byClass[c], v)
-			}
-		}
+	for i := range callSpans {
+		span := &callSpans[i]
 		for c := ir.Class(0); c < ir.NumClasses; c++ {
-			avail := caps[c] - bits.OnesCount64(span.clob[c]&capMask(caps[c]))
-			if cnt[c] <= avail {
+			cand := sc.cand[:0]
+			for _, v := range span.Live {
+				if !forced[v] && classes[v] == c {
+					cand = append(cand, v)
+				}
+			}
+			sc.cand = cand
+			avail := caps[c] - bits.OnesCount64(span.Clobbered[c]&capMask(caps[c]))
+			if len(cand) <= avail {
 				continue
 			}
-			cand := byClass[c]
-			sort.Slice(cand, func(i, j int) bool {
-				if costs[cand[i]] != costs[cand[j]] {
-					return costs[cand[i]] < costs[cand[j]]
+			slices.SortFunc(cand, func(a, b int) int {
+				if costs[a] != costs[b] {
+					return cmp.Compare(costs[a], costs[b])
 				}
-				return cand[i] < cand[j]
+				return a - b
 			})
-			for _, v := range cand[:cnt[c]-avail] {
+			for _, v := range cand[:len(cand)-avail] {
 				forced[v] = true
 			}
 		}
@@ -221,10 +225,11 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 	// Pass 4 — clobber avoidance for the surviving spanning values, then a
 	// final sweep for values whose accumulated bans (e.g. the union of two
 	// calls' disjoint clobber sets) cover the whole class.
-	for _, span := range callSpans {
-		for _, v := range span.live {
+	for i := range callSpans {
+		span := &callSpans[i]
+		for _, v := range span.Live {
 			if !forced[v] {
-				forbid[v] |= span.clob[f.ClassOf(v)]
+				forbid[v] |= span.Clobbered[classes[v]]
 			}
 		}
 	}
@@ -232,13 +237,21 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 		if forced[v] || cs.VertexOf[v] < 0 || pins[v] != regassign.NoReg {
 			continue
 		}
-		if ^forbid[v]&capMask(caps[f.ClassOf(v)]) == 0 {
+		if ^forbid[v]&capMask(caps[classes[v]]) == 0 {
 			forced[v] = true
 		}
 	}
 
+	// The merged problem the per-class results must satisfy together. Its
+	// intervals are computed once; a value's interval does not depend on the
+	// subset it is allocated in, so each class projects them.
+	pFull := alloc.BuildProblem(alloc.Spec{Cliques: cs, Costs: costs, R: cfg.Registers, Constraints: cons})
+	pFull.Intervals = linearscan.IntervalsFromLiveness(info, cs.VertexOf, cs.N)
+
 	// Spilling: one chordal subproblem per register class, each against its
 	// own capacity, solved by the same allocator the fungible path would use.
+	// The class's structure is a projection of the function's one clique
+	// structure.
 	a := cfg.Allocator
 	if a == nil {
 		if runner != nil {
@@ -247,15 +260,22 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 			a = layered.BFPL()
 		}
 	}
-	allocatedVals := make([]bool, nv)
-	include := make([]bool, nv)
+	var allocatedVals, spilledVals []bool
+	if runner != nil {
+		runner.allocatedVals = resizeFlags(runner.allocatedVals, nv)
+		runner.spilledVals = resizeFlags(runner.spilledVals, nv)
+		allocatedVals, spilledVals = runner.allocatedVals, runner.spilledVals
+	} else {
+		allocatedVals, spilledVals = make([]bool, nv), make([]bool, nv)
+	}
+	include := sc.include
 	m.SetStage(raerr.StageAllocate)
 	for c := ir.Class(0); c < ir.NumClasses; c++ {
 		if caps[c] == 0 {
 			continue // compat check: no value has this class
 		}
 		// One charge per class pass covers the include-mask sweep and the
-		// subset derivation; the allocator itself charges per layer.
+		// projection; the allocator itself charges per layer.
 		if !m.Charge(nv) {
 			if !cfg.Degrade {
 				return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAllocate, Err: m.Err()}
@@ -264,20 +284,19 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 		}
 		any := false
 		for v := range include {
-			inc := cs.VertexOf[v] >= 0 && !forced[v] && f.ClassOf(v) == c
+			inc := cs.VertexOf[v] >= 0 && !forced[v] && classes[v] == c
 			include[v] = inc
 			any = any || inc
 		}
 		if !any {
 			continue
 		}
-		sub := cliques.DeriveSubset(info, dom, include, csScratch)
-		if sub == nil {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain",
-				Err: fmt.Errorf("%w: per-class clique derivation failed for %s", raerr.ErrNotSSA, c)}
+		p := sc.classProblem(cs, cs.Project(include, &sc.sub[c], csScratch), pFull, caps[c])
+		if chk, ok := a.(alloc.ProblemChecker); ok {
+			if err := chk.CheckProblem(p); err != nil {
+				return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate", Err: err}
+			}
 		}
-		p := alloc.BuildProblem(alloc.Spec{Cliques: sub, Costs: costs, R: caps[c]})
-		p.Intervals = linearscan.IntervalsFromLiveness(info, sub.VertexOf, sub.N)
 		p.Meter = m
 		res := a.Allocate(p)
 		p.Meter = nil
@@ -297,7 +316,7 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 		}
 		for vx, al := range res.Allocated {
 			if al {
-				allocatedVals[sub.ValueOf[vx]] = true
+				allocatedVals[p.Cliques.ValueOf[vx]] = true
 			}
 		}
 	}
@@ -321,22 +340,17 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 		var moves []coalesce.VMove
 		var aff *coalesce.Affinity
 		if cfg.Coalescing != coalesce.Off {
-			moves = coalesce.MovesFromFunc(f, cfg.CostModel)
+			moves = sc.bias.Moves(f, cfg.CostModel)
 			if len(moves) > 0 {
-				var sc *coalesce.BiasScratch
-				if runner != nil {
-					if runner.bias == nil {
-						runner.bias = &coalesce.BiasScratch{}
-					}
-					sc = runner.bias
-				}
-				aff = coalesce.BuildAffinityConstrained(cs, f, moves, cfg.Coalescing, caps, sc)
+				aff = coalesce.BuildAffinityConstrained(cs, f, moves, cfg.Coalescing, caps, &sc.bias)
 				if aff != nil {
-					bias = regassign.NewBias(aff.ClassOf, aff.NumClasses)
+					sc.hints.Reset(aff.ClassOf, aff.NumClasses)
+					bias = &sc.hints
 				}
 			}
 		}
 		m.SetStage(raerr.StageAssign)
+		regOf = make([]int, nv)
 		for tries := 0; ; tries++ {
 			// The constrained assigner is not internally metered; one charge
 			// per attempt bounds the O(V) force-spill retry loop.
@@ -346,9 +360,8 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 				}
 				return spillAll(f, cfg, dom, info, m, m.BudgetErr())
 			}
-			r, failVal, aerr := regassign.AssignConstrainedBiased(f, dom, info, allocatedVals, caps, pins, forbid, bias)
-			if aerr == nil {
-				regOf = r
+			stuck, aerr := ra.AssignConstrained(f, dom, info, allocatedVals, rc, bias, regOf)
+			if aerr == nil && stuck.Val < 0 {
 				break
 			}
 			if bias != nil {
@@ -360,12 +373,15 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 				bias = nil
 				continue
 			}
-			if failVal < 0 || failVal >= nv || !allocatedVals[failVal] || tries >= nv {
+			if aerr != nil || !allocatedVals[stuck.Val] || tries >= nv {
+				if aerr == nil {
+					aerr = stuck.Err(f)
+				}
 				return nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
 					Err: fmt.Errorf("%w: constrained assignment failed: %w",
 						raerr.ErrPressureUnsatisfiable, aerr)}
 			}
-			allocatedVals[failVal] = false
+			allocatedVals[stuck.Val] = false
 		}
 		if cfg.Coalescing != coalesce.Off {
 			coalStats = coalesce.StatsFor(cfg.Coalescing, moves, regOf, aff)
@@ -374,14 +390,14 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 			return nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
 				Err: fmt.Errorf("assignment verification failed: %w", err)}
 		}
-		if err := regassign.VerifyClassAssignment(f, allocatedVals, regOf, caps); err != nil {
+		if err := regassign.VerifyClassAssignment(f, allocatedVals, regOf, rc); err != nil {
 			return nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
 				Err: fmt.Errorf("assignment verification failed: %w", err)}
 		}
-		for _, span := range callSpans {
-			for _, v := range span.live {
-				if allocatedVals[v] && regOf[v] != regassign.NoReg &&
-					span.clob[ir.RegClassOf(regOf[v])]&(1<<uint(ir.RegIndexOf(regOf[v]))) != 0 {
+		for i := range callSpans {
+			span := &callSpans[i]
+			for _, v := range span.Live {
+				if allocatedVals[v] && span.Clobbers(regOf[v]) {
 					return nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
 						Err: fmt.Errorf("value %s holds caller-saved %s across a clobbering call",
 							f.NameOf(v), ir.RegName(regOf[v]))}
@@ -391,12 +407,14 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 	}
 
 	merged := &alloc.Result{Allocated: make([]bool, cs.N), Allocator: a.Name()}
+	spilled := 0
 	for vx := range merged.Allocated {
 		merged.Allocated[vx] = allocatedVals[cs.ValueOf[vx]]
+		if !merged.Allocated[vx] {
+			spilled++
+		}
 	}
-	pFull := alloc.BuildProblem(alloc.Spec{Cliques: cs, Costs: costs, R: cfg.Registers, Constraints: cons})
-	pFull.Intervals = linearscan.IntervalsFromLiveness(info, cs.VertexOf, cs.N)
-	if err := pFull.Validate(merged); err != nil {
+	if err := pFull.ValidateClasses(merged, classes); err != nil {
 		return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
 			Err: fmt.Errorf("%w: merged constrained allocation invalid: %w",
 				raerr.ErrPressureUnsatisfiable, err)}
@@ -406,16 +424,18 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 		VertexOf: cs.VertexOf, ValueOf: cs.ValueOf, MaxLive: cs.MaxLive,
 		SpillCost: merged.SpillCost(pFull),
 	}
-	for vx, al := range merged.Allocated {
-		if !al {
-			out.SpilledValues = append(out.SpilledValues, cs.ValueOf[vx])
+	if spilled > 0 {
+		out.SpilledValues = make([]int, 0, spilled)
+		for vx, al := range merged.Allocated {
+			if !al {
+				out.SpilledValues = append(out.SpilledValues, cs.ValueOf[vx])
+			}
 		}
 	}
 
 	if !cfg.SkipRewrite {
 		out.RegisterOf = regOf
 		out.Coalesce = coalStats
-		spilledVals := make([]bool, nv)
 		for _, v := range out.SpilledValues {
 			spilledVals[v] = true
 		}
@@ -431,56 +451,92 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 	return out, nil
 }
 
+// constrainedScratch is the Runner's reusable memory for runConstrained.
+// Outcomes never reference it.
+type constrainedScratch struct {
+	cons    regassign.Constraints // dense classes, pins, forbid masks
+	forced  []bool
+	include []bool
+	// Per-class chordal subproblems: the projected structures, and the
+	// weights and intervals projected from the merged problem.
+	sub       [ir.NumClasses]cliques.Structure
+	weight    []float64
+	intervals [][2]int
+	cand      []int // pass 3: one class's survivors of one call
+	bias      coalesce.BiasScratch
+	hints     regassign.Bias
+}
+
+// reset sizes the value-indexed state for f and fills the classes and pins
+// from its annotations; it returns the scan constraints over them.
+func (sc *constrainedScratch) reset(f *ir.Func, caps [ir.NumClasses]int) *regassign.Constraints {
+	nv := f.NumValues
+	rc := &sc.cons
+	rc.Caps = caps
+	rc.Class = resize(rc.Class, nv)
+	clear(rc.Class) // ClassGPR is the zero class
+	for v, c := range f.ValueClass {
+		rc.Class[v] = c
+	}
+	rc.Pins = resize(rc.Pins, nv)
+	for v := range rc.Pins {
+		rc.Pins[v] = regassign.NoReg
+	}
+	for v, pin := range f.PreColor {
+		rc.Pins[v] = pin
+	}
+	rc.Forbid = resize(rc.Forbid, nv)
+	clear(rc.Forbid)
+	sc.forced = resizeFlags(sc.forced, nv)
+	sc.include = resize(sc.include, nv)
+	return rc
+}
+
+// classProblem builds the allocation problem of one register class over its
+// projected structure sub, with weights and intervals projected from the
+// merged problem pFull over cs. It lives in scratch and is valid until the
+// next class.
+func (sc *constrainedScratch) classProblem(cs, sub *cliques.Structure, pFull *alloc.Problem, capacity int) *alloc.Problem {
+	sc.weight = resize(sc.weight, sub.N)
+	sc.intervals = resize(sc.intervals, sub.N)
+	for vx, val := range sub.ValueOf {
+		full := cs.VertexOf[val]
+		sc.weight[vx] = pFull.Weight[full]
+		sc.intervals[vx] = pFull.Intervals[full]
+	}
+	return &alloc.Problem{
+		R: capacity, Weight: sc.weight, LiveSets: sub.Sets, Chordal: true, PEO: sub.PEO,
+		Name: cs.F.Name, Intervals: sc.intervals, Cliques: sub,
+	}
+}
+
 // checkMachineCompat rejects annotations the machine cannot express: a value
 // of an absent register class, or a pre-color outside the class capacity.
-func checkMachineCompat(f *ir.Func, cons *arch.Constraints) error {
-	for v, c := range f.ValueClass {
+// It reports the lowest offending value.
+func checkMachineCompat(f *ir.Func, cons *arch.Constraints, rc *regassign.Constraints) error {
+	for v, c := range rc.Class {
 		if cons.Cap(c) == 0 {
 			return fmt.Errorf("%w: %s is %s but machine %q has no %s registers",
 				raerr.ErrMachineMismatch, f.NameOf(v), c, cons.Machine, c)
 		}
-	}
-	for v, pin := range f.PreColor {
-		c := ir.RegClassOf(pin)
-		if ir.RegIndexOf(pin) >= cons.Cap(c) {
-			return fmt.Errorf("%w: %s is pre-colored %s but machine %q caps %s at %d registers",
-				raerr.ErrMachineMismatch, f.NameOf(v), ir.RegName(pin), cons.Machine, c, cons.Cap(c))
+		if pin := rc.Pins[v]; pin != regassign.NoReg {
+			c := ir.RegClassOf(pin)
+			if ir.RegIndexOf(pin) >= cons.Cap(c) {
+				return fmt.Errorf("%w: %s is pre-colored %s but machine %q caps %s at %d registers",
+					raerr.ErrMachineMismatch, f.NameOf(v), ir.RegName(pin), cons.Machine, c, cons.Cap(c))
+			}
 		}
 	}
 	return nil
 }
 
-// callSpan is one clobber-carrying call with a nonempty live-through set:
-// the values that must survive it, and the clobbered register indexes as one
-// bitmask per class.
-type callSpan struct {
-	clob [ir.NumClasses]uint64
-	live []int
-}
-
-// collectCallSpans pairs each clobbering call's live-through values with its
-// per-class clobber masks, in deterministic program order.
-func collectCallSpans(f *ir.Func, info *liveness.Info) []callSpan {
-	spans := regassign.LiveThroughCalls(info)
-	keys := make([][2]int, 0, len(spans))
-	for k := range spans {
-		keys = append(keys, k)
+// resize returns s with length n, reusing its memory when large enough; the
+// contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]callSpan, 0, len(keys))
-	for _, k := range keys {
-		span := callSpan{live: spans[k]}
-		for _, ref := range f.Blocks[k[0]].Instrs[k[1]].Clobbers {
-			span.clob[ir.RegClassOf(ref)] |= 1 << uint(ir.RegIndexOf(ref))
-		}
-		out = append(out, span)
-	}
-	return out
+	return s[:n]
 }
 
 // capMask returns the bitmask of the register indexes [0, cap).

@@ -191,6 +191,8 @@ type Runner struct {
 	costs []float64
 	// Affinity-construction scratch for coalescing-biased assignment.
 	bias *coalesce.BiasScratch
+	// The machine-constrained driver's state, created on first use.
+	con *constrainedScratch
 }
 
 // NewRunner returns a Runner with empty scratch.

@@ -21,11 +21,22 @@ type Bias struct {
 // NewBias builds a preference table over classOf (value → affinity class,
 // -1 none) with numClasses classes and no hints recorded yet.
 func NewBias(classOf []int32, numClasses int) *Bias {
-	b := &Bias{ClassOf: classOf, hint: make([]int32, numClasses)}
+	b := &Bias{}
+	b.Reset(classOf, numClasses)
+	return b
+}
+
+// Reset re-initializes b over classOf with numClasses classes and no hints
+// recorded, reusing its memory.
+func (b *Bias) Reset(classOf []int32, numClasses int) {
+	b.ClassOf = classOf
+	if cap(b.hint) < numClasses {
+		b.hint = make([]int32, numClasses)
+	}
+	b.hint = b.hint[:numClasses]
 	for i := range b.hint {
 		b.hint[i] = NoReg
 	}
-	return b
 }
 
 // classOf returns v's affinity class, -1 when v has none (or the table is

@@ -28,6 +28,12 @@ type Scratch struct {
 	lastUseAt []int32
 	inUse     []bool
 	epoch     int32
+	// The constrained scan's block stack, and the storage of the call spans
+	// LiveThroughCalls returns.
+	blocks     []int
+	firstPoint []int
+	spans      []CallSpan
+	spanLive   []int
 }
 
 // NewScratch returns an empty reusable scratch.

@@ -149,7 +149,7 @@ func checkClassPressure(info *liveness.Info, out *core.Outcome, cons *arch.Const
 // live sets: class membership and capacity, interference freedom, honored
 // pre-colors, and no clobbered register held across its call.
 func checkConstrainedAssignment(info *liveness.Info, out *core.Outcome,
-	cons *arch.Constraints, spans map[[2]int][]int) error {
+	cons *arch.Constraints, spans []regassign.CallSpan) error {
 	f := info.F
 	allocated := allocatedValues(out)
 	regOf := out.RegisterOf
@@ -187,16 +187,16 @@ func checkConstrainedAssignment(info *liveness.Info, out *core.Outcome,
 			seen[regOf[v]] = v
 		}
 	}
-	for key, live := range spans {
-		ins := &f.Blocks[key[0]].Instrs[key[1]]
-		for _, v := range live {
+	for _, span := range spans {
+		ins := &f.Blocks[span.Block].Instrs[span.Index]
+		for _, v := range span.Live {
 			if !allocated[v] {
 				continue
 			}
 			for _, ref := range ins.Clobbers {
 				if regOf[v] == ref {
 					return fmt.Errorf("value %s holds caller-saved %s across the call at block %d instr %d",
-						f.NameOf(v), ir.RegName(ref), key[0], key[1])
+						f.NameOf(v), ir.RegName(ref), span.Block, span.Index)
 				}
 			}
 		}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/alloc/optimal"
 	"repro/internal/ir"
+	"repro/internal/liveness"
 	"repro/internal/regassign"
 	"repro/internal/spillcost"
 )
@@ -216,6 +218,64 @@ b0:
 				}
 			}
 		}
+	}
+}
+
+// wideSrc returns an SSA function whose n parameters are all live at once:
+// each is consumed by a chain of arithmetic after the last one is defined.
+func wideSrc(n int) string {
+	var b strings.Builder
+	b.WriteString("func wide ssa {\nb0:\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "  p%d = param %d\n", i, i)
+	}
+	b.WriteString("  s1 = arith p0, p1\n")
+	for i := 2; i < n; i++ {
+		fmt.Fprintf(&b, "  s%d = arith s%d, p%d\n", i, i-1, i)
+	}
+	fmt.Fprintf(&b, "  ret s%d\n}", n-1)
+	return b.String()
+}
+
+// TestUnconstrainedBeyond64Registers: a plain register file is not bounded
+// by the 64-per-class limit of machine classes. 70 values live at once at
+// R=100 allocate without spills, the top ones take registers ≥ 64, and the
+// assignment verifies; a scan with fewer registers than the pressure still
+// reports the unconstrained failure.
+func TestUnconstrainedBeyond64Registers(t *testing.T) {
+	f := ir.MustParse(wideSrc(70))
+	out, err := Run(f, Config{Registers: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.MaxLive != 70 || len(out.SpilledValues) != 0 {
+		t.Fatalf("maxlive %d, spilled %v; want 70 live and no spills", out.MaxLive, out.SpilledValues)
+	}
+	high := 0
+	for _, reg := range out.RegisterOf {
+		if reg >= 100 {
+			t.Fatalf("register %d outside R=100", reg)
+		}
+		if reg >= 64 {
+			high++
+		}
+	}
+	if high == 0 {
+		t.Fatal("no value took a register ≥ 64")
+	}
+	info := liveness.Compute(f)
+	allocated := make([]bool, f.NumValues)
+	for i := range allocated {
+		allocated[i] = true
+	}
+	if err := regassign.VerifyAssignment(info, allocated, out.RegisterOf); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = regassign.AssignBiasedBudget(f, f.ComputeDominance(), info, allocated, 8, nil, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "no free register for") ||
+		!strings.Contains(err.Error(), "(pressure exceeds 8)") {
+		t.Fatalf("stuck scan err = %v, want a no-free-register pressure error", err)
 	}
 }
 

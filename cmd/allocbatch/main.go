@@ -8,8 +8,8 @@
 //	allocbatch -r 4 -gen 500 -seed 7                        # batch a generated module
 //	allocbatch -r 4 -gen 500 -cache 1024                    # batch with the outcome cache
 //	allocbatch -jsonl -jobs 8 -cache 4096                   # JSONL service, shared outcome cache
-//	allocbatch -bench -funcs 800 -out BENCH_pr4.json        # throughput benchmark
-//	allocbatch -cachebench -funcs 400 -dup 0.8              # outcome-cache benchmark (BENCH_cache.json)
+//
+// Throughput is measured by the regbench module (bash regbench/run.sh).
 //
 // In JSONL mode every stdin line is one request and every stdout line one
 // response, emitted in request order, so the tool can be driven as a
@@ -59,18 +59,10 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	jobs := fs.Int("jobs", 0, "worker count (0 = GOMAXPROCS)")
 	module := fs.String("module", "", "textual IR module file ('-' = stdin)")
 	gen := fs.Int("gen", 0, "generate a module of this many functions instead of reading one")
-	seed := fs.Int64("seed", 1, "generator seed for -gen and -bench")
+	seed := fs.Int64("seed", 1, "generator seed for -gen")
 	print := fs.Bool("print", false, "per-function detail: assignment and rewritten body")
 	jsonl := fs.Bool("jsonl", false, "JSONL service mode: one request per stdin line, one response per stdout line")
 	cacheSize := fs.Int("cache", 0, "outcome-cache capacity in entries (0 = off); batch mode gets a private cache, JSONL mode one cache shared across request configurations")
-	bench := fs.Bool("bench", false, "run the module-throughput benchmark")
-	cacheBench := fs.Bool("cachebench", false, "run the outcome-cache benchmark over duplication-controlled corpora")
-	dup := fs.Float64("dup", 0.8, "duplication rate of the redundant corpus (with -cachebench)")
-	funcs := fs.Int("funcs", 800, "benchmark module size (with -bench)")
-	rounds := fs.Int("rounds", 3, "benchmark repetitions per configuration, best kept (with -bench)")
-	benchOut := fs.String("out", "BENCH_pr4.json", "benchmark JSON output path (with -bench)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the benchmark to this file (with -bench)")
-	memProfile := fs.String("memprofile", "", "write an allocation profile of the benchmark to this file (with -bench)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -86,31 +78,14 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		return nil
 	}
 
-	switch {
-	case *cacheBench:
-		outPath := *benchOut
-		if outPath == "BENCH_pr4.json" { // untouched default: separate artifact
-			outPath = "BENCH_cache.json"
-		}
-		return runCacheBench(out, cacheBenchConfig{
-			Funcs: *funcs, Seed: *seed, Registers: *regs, Allocator: *allocName,
-			Rounds: *rounds, DupRate: *dup, OutPath: outPath,
-		})
-	case *bench:
-		return runBench(out, benchConfig{
-			Funcs: *funcs, Seed: *seed, Registers: *regs, Allocator: *allocName,
-			Rounds: *rounds, OutPath: *benchOut,
-			CPUProfile: *cpuProfile, MemProfile: *memProfile,
-		})
-	case *jsonl:
+	if *jsonl {
 		return runJSONL(in, out, *regs, *allocName, *machine, *coalesceName, *jobs, *cacheSize)
-	default:
-		m, err := loadModule(*module, *gen, *seed, in)
-		if err != nil {
-			return err
-		}
-		return runBatch(out, m, *regs, *allocName, *machine, *coalesceName, *jobs, *print, *cacheSize)
 	}
+	m, err := loadModule(*module, *gen, *seed, in)
+	if err != nil {
+		return err
+	}
+	return runBatch(out, m, *regs, *allocName, *machine, *coalesceName, *jobs, *print, *cacheSize)
 }
 
 func loadModule(path string, gen int, seed int64, in io.Reader) (*irx.Module, error) {

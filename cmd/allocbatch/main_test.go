@@ -106,62 +106,6 @@ func TestRunJSONL(t *testing.T) {
 	}
 }
 
-func TestRunBenchSmoke(t *testing.T) {
-	dir := t.TempDir()
-	outPath := filepath.Join(dir, "bench.json")
-	cpuPath := filepath.Join(dir, "cpu.out")
-	memPath := filepath.Join(dir, "mem.out")
-	var out strings.Builder
-	err := run([]string{"-bench", "-funcs", "20", "-rounds", "1", "-out", outPath,
-		"-cpuprofile", cpuPath, "-memprofile", memPath}, strings.NewReader(""), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Bench     string `json:"bench"`
-		Functions int    `json:"functions"`
-		Configs   []struct {
-			Jobs        int     `json:"jobs"`
-			FastPath    bool    `json:"fast_path"`
-			FuncsPerSec float64 `json:"funcs_per_sec"`
-		} `json:"configs"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench JSON does not parse: %v", err)
-	}
-	if rep.Functions != 20 || len(rep.Configs) == 0 {
-		t.Fatalf("unexpected report: %+v", rep)
-	}
-	fastRows, legacyRows := 0, 0
-	for _, c := range rep.Configs {
-		if c.FuncsPerSec <= 0 {
-			t.Fatalf("non-positive throughput in %+v", c)
-		}
-		if c.FastPath {
-			fastRows++
-		} else {
-			legacyRows++
-		}
-	}
-	if fastRows == 0 || legacyRows == 0 {
-		t.Fatalf("bench must measure both paths, got %d fast / %d legacy rows", fastRows, legacyRows)
-	}
-	// The pprof flags must produce non-empty profiles.
-	for _, p := range []string{cpuPath, memPath} {
-		st, err := os.Stat(p)
-		if err != nil {
-			t.Fatalf("profile missing: %v", err)
-		}
-		if st.Size() == 0 {
-			t.Fatalf("profile %s is empty", p)
-		}
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-module", "missing.ir"}, strings.NewReader(""), &out); err == nil {
@@ -333,46 +277,5 @@ func TestRunJSONLWriterErrorStopsIntake(t *testing.T) {
 	}
 	if got := in.emitted.Load(); got >= total/2 {
 		t.Errorf("intake consumed %d of %d lines after the sink died, want an early stop", got, total)
-	}
-}
-
-// TestRunCacheBenchSmoke: the -cachebench mode writes a parseable
-// BENCH_cache.json with positive throughputs and sane ratios.
-func TestRunCacheBenchSmoke(t *testing.T) {
-	dir := t.TempDir()
-	outPath := filepath.Join(dir, "cache.json")
-	var out strings.Builder
-	err := run([]string{"-cachebench", "-funcs", "40", "-rounds", "1", "-dup", "0.8", "-out", outPath},
-		strings.NewReader(""), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Bench   string `json:"bench"`
-		Configs []struct {
-			Name        string  `json:"name"`
-			FuncsPerSec float64 `json:"funcs_per_sec"`
-		} `json:"configs"`
-		SpeedupWarm float64 `json:"speedup_warm_cache_dup_vs_off"`
-		HitSpeedup  float64 `json:"hit_speedup_vs_full_alloc"`
-		Incr10      float64 `json:"incremental_time_ratio_10pct_changed"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("cache bench JSON does not parse: %v", err)
-	}
-	if rep.Bench != "outcome_cache_pr6" || len(rep.Configs) != 5 {
-		t.Fatalf("unexpected report shape: %+v", rep)
-	}
-	for _, c := range rep.Configs {
-		if c.FuncsPerSec <= 0 {
-			t.Fatalf("non-positive throughput in %+v", c)
-		}
-	}
-	if rep.SpeedupWarm <= 0 || rep.HitSpeedup <= 0 || rep.Incr10 <= 0 {
-		t.Fatalf("ratios missing from report: %+v", rep)
 	}
 }

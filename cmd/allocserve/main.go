@@ -3,7 +3,9 @@
 //
 //	allocserve -addr :8080 -r 4 -alloc BFPL -cache 4096
 //	allocserve -addr :8080 -max-inflight 256 -timeout 10s
-//	allocserve -selfbench -funcs 800 -out BENCH_pr7.json   # scaling sweep
+//
+// Service throughput and latency are measured by the regbench module
+// (bash regbench/run.sh, workload service-dup).
 //
 // Endpoints:
 //
@@ -73,11 +75,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	maxValues := fs.Int("max-values", 0, "admission gate: reject/degrade functions above this value count (0 = none)")
 	maxBlocks := fs.Int("max-blocks", 0, "admission gate: reject/degrade functions above this block count (0 = none)")
 	degrade := fs.Bool("degrade", false, "serve over-budget functions from the degradation ladder instead of failing them")
-	selfbench := fs.Bool("selfbench", false, "run the multi-core scaling sweep (jobs and client concurrency 1,2,4,8) and exit")
-	funcs := fs.Int("funcs", 800, "benchmark module size (with -selfbench)")
-	seed := fs.Int64("seed", 42, "benchmark corpus seed (with -selfbench)")
-	rounds := fs.Int("rounds", 3, "benchmark repetitions per configuration, best kept (with -selfbench)")
-	benchOut := fs.String("out", "BENCH_pr7.json", "benchmark JSON output path (with -selfbench)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -110,13 +107,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		},
 		Degrade: *degrade,
 	}
-	if *selfbench {
-		return runSelfBench(out, benchOpts{
-			Funcs: *funcs, Seed: *seed, Registers: *regs, Allocator: *allocName,
-			Rounds: *rounds, OutPath: *benchOut, Config: cfg,
-		})
-	}
-
 	srv, err := service.New(cfg)
 	if err != nil {
 		return err

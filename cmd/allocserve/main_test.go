@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -115,55 +114,5 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-alloc", "bogus", "-addr", "127.0.0.1:0"}, &out, nil); err == nil {
 		t.Error("unknown allocator accepted")
-	}
-}
-
-// TestRunSelfBenchSmoke: the scaling rig must produce a parseable report
-// with both sweeps, the headline ratios and a non-empty analysis.
-func TestRunSelfBenchSmoke(t *testing.T) {
-	dir := t.TempDir()
-	outPath := filepath.Join(dir, "bench.json")
-	var out syncBuffer
-	err := run([]string{"-selfbench", "-funcs", "12", "-rounds", "1", "-seed", "7", "-out", outPath}, &out, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Bench    string `json:"bench"`
-		CPUs     int    `json:"cpus"`
-		Pipeline []struct {
-			Jobs        int     `json:"jobs"`
-			FuncsPerSec float64 `json:"funcs_per_sec"`
-		} `json:"pipeline"`
-		Server []struct {
-			Clients    int     `json:"clients"`
-			ReqsPerSec float64 `json:"reqs_per_sec"`
-			P99Ms      float64 `json:"p99_ms"`
-		} `json:"server"`
-		SpeedupJobs4 float64 `json:"speedup_at_jobs4_vs_jobs1"`
-		Analysis     string  `json:"analysis"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("scaling report does not parse: %v", err)
-	}
-	if rep.Bench != "allocserve_scaling_pr7" || len(rep.Pipeline) != 4 || len(rep.Server) != 4 {
-		t.Fatalf("unexpected report shape: %+v", rep)
-	}
-	for _, row := range rep.Pipeline {
-		if row.FuncsPerSec <= 0 {
-			t.Fatalf("non-positive pipeline throughput: %+v", row)
-		}
-	}
-	for _, row := range rep.Server {
-		if row.ReqsPerSec <= 0 || row.P99Ms <= 0 {
-			t.Fatalf("non-positive server throughput: %+v", row)
-		}
-	}
-	if rep.SpeedupJobs4 <= 0 || rep.Analysis == "" {
-		t.Fatalf("headline ratios or analysis missing: %+v", rep)
 	}
 }

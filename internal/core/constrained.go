@@ -7,28 +7,22 @@ import (
 	"slices"
 
 	"repro/internal/alloc"
-	"repro/internal/alloc/layered"
-	"repro/internal/alloc/linearscan"
 	"repro/internal/arch"
-	"repro/internal/budget"
 	"repro/internal/cliques"
-	"repro/internal/coalesce"
 	"repro/internal/ir"
-	"repro/internal/liveness"
 	"repro/internal/raerr"
 	"repro/internal/regassign"
-	"repro/internal/spillcost"
 )
 
-// runConstrained is the machine-honoring pipeline: allocation under register
-// classes, pre-colored ABI values, and call-clobber sets.
+// The machine-only half of the driver: allocation under register classes,
+// pre-colored ABI values, and call-clobber sets.
 //
 // The decoupled framework survives the constraints almost intact. Spilling
 // stays a per-class pressure problem: the subgraph induced by one register
 // class is chordal again (induced subgraphs of chordal graphs are chordal,
 // and a subsequence of a perfect elimination order eliminates it perfectly),
 // so each class is allocated independently against its own capacity by the
-// same allocators as the fungible path. What the chordal model cannot
+// same allocators as a run without a machine. What the chordal model cannot
 // express — a value that must hold one specific register, a register a call
 // destroys mid-range — is folded into three precomputed side inputs:
 //
@@ -42,110 +36,96 @@ import (
 //
 // Assignment then honors all three, and — because pins can still collide in
 // ways pressure numbers do not see — reports the first stuck value on
-// failure, which the driver force-spills before retrying (sound under
-// spill-everywhere, and bounded by the value count).
-func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
-	cons := cfg.Constraints
+// failure, which the driver force-spills before retrying.
+
+// checkMachine validates the machine of a run before any function analysis.
+func checkMachine(cons *arch.Constraints) error {
 	if err := cons.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", raerr.ErrInvalidConfig, err)
+		return fmt.Errorf("%w: %w", raerr.ErrInvalidConfig, err)
 	}
-	if cfg.LegacyIFG {
-		return nil, fmt.Errorf("%w: machine-constrained allocation has no explicit-graph path (unset LegacyIFG)",
-			raerr.ErrInvalidConfig)
-	}
-	var caps [ir.NumClasses]int
 	for c := ir.Class(0); c < ir.NumClasses; c++ {
-		caps[c] = cons.Cap(c)
-		if caps[c] > 64 {
-			return nil, fmt.Errorf("%w: class %s capacity %d exceeds the constrained assigner's 64-register limit",
-				raerr.ErrInvalidConfig, c, caps[c])
+		// Forbid masks are one word per value.
+		if n := cons.Cap(c); n > 64 {
+			return fmt.Errorf("%w: class %s capacity %d exceeds the constrained assigner's 64-register limit",
+				raerr.ErrInvalidConfig, c, n)
 		}
 	}
-	dom, err := f.ValidateAnalyzed()
-	if err != nil {
-		return nil, &raerr.FuncError{Func: f.Name, Stage: "validate",
-			Err: fmt.Errorf("invalid input function: %w", err)}
-	}
+	return nil
+}
+
+// constrain checks that f is a strict-SSA function the machine can express
+// and loads its classes and pins into the scan constraints d.rc.
+func (r *Runner) constrain(d *run, reason cliques.Reason) error {
+	f := d.f
 	if !f.SSA {
-		return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain",
+		return &raerr.FuncError{Func: f.Name, Stage: "constrain",
 			Err: fmt.Errorf("%w: machine-constrained allocation requires strict SSA", raerr.ErrNotSSA)}
 	}
-	switch reason := cliques.Inapplicable(f, dom); reason {
-	case cliques.ReasonApplicable, cliques.ReasonConstrained:
-	default:
-		return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain",
+	if reason != cliques.ReasonApplicable && reason != cliques.ReasonConstrained {
+		return &raerr.FuncError{Func: f.Name, Stage: "constrain",
 			Err: fmt.Errorf("%w: %s", raerr.ErrNotSSA, reason)}
 	}
+	d.rc = r.con.reset(f, d.cfg.Constraints)
+	if err := checkMachineCompat(f, d.cfg.Constraints, d.rc); err != nil {
+		return &raerr.FuncError{Func: f.Name, Stage: "constrain", Err: err}
+	}
+	return nil
+}
 
-	// Per-function scratch: the Runner's when there is one. Nothing below
-	// that lives in it reaches the Outcome.
-	var sc *constrainedScratch
-	var csScratch *cliques.Scratch
-	var ra *regassign.Scratch
-	if runner != nil {
-		if runner.con == nil {
-			runner.con = &constrainedScratch{}
+// allocateClasses is a machine run's allocation stage: the forced spills,
+// then one chordal subproblem per register class against its own capacity,
+// solved by a over a projection of the function's one clique structure. It
+// returns the merged result over d.p. A budget trip ends the class loop
+// early; the caller finds it on the meter.
+func (r *Runner) allocateClasses(d *run, a alloc.Allocator) (*alloc.Result, error) {
+	r.forceSpills(d)
+	sc, cs, nv := &r.con, d.cs, d.f.NumValues
+	r.allocatedVals = resizeFlags(r.allocatedVals, nv)
+	allocated, include := r.allocatedVals, sc.include
+	for c := ir.Class(0); c < ir.NumClasses; c++ {
+		if d.rc.Caps[c] == 0 {
+			continue // compat check: no value has this class
 		}
-		sc, csScratch, ra = runner.con, runner.cs, runner.ra
-	} else {
-		sc, csScratch, ra = &constrainedScratch{}, cliques.NewScratch(), regassign.NewScratch()
-	}
-	nv := f.NumValues
-	rc := sc.reset(f, caps)
-	if err := checkMachineCompat(f, cons, rc); err != nil {
-		return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain", Err: err}
-	}
-
-	// Budget governance. The constrained ladder has no linear-scan rung —
-	// the interval scan is blind to pins and clobbers — so a trip anywhere
-	// degrades straight to the spill-all floor, which is trivially legal
-	// here too (the normal path already force-spills pinned values when
-	// their constraints admit no register).
-	m := budget.NewMeter(cfg.Budget)
-	if be := cfg.Budget.Admit(nv, len(f.Blocks)); be != nil {
-		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "admission", Err: be}
+		// One charge per class pass covers the include-mask sweep and the
+		// projection; the allocator itself charges per layer.
+		if !d.m.Charge(nv) {
+			break
 		}
-		return spillAll(f, cfg, dom, nil, m, be)
-	}
-
-	f.ComputeLoops(dom)
-	m.SetStage(raerr.StageLiveness)
-	var info *liveness.Info
-	if runner != nil {
-		info, err = runner.live.ComputeBudget(f, m)
-	} else {
-		info, err = liveness.ComputeBudget(f, m)
-	}
-	if err != nil {
-		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageLiveness, Err: err}
+		any := false
+		for v := range include {
+			inc := cs.VertexOf[v] >= 0 && !sc.forced[v] && d.rc.Class[v] == c
+			include[v] = inc
+			any = any || inc
 		}
-		return spillAll(f, cfg, dom, nil, m, m.BudgetErr())
-	}
-	var costs []float64
-	if runner != nil {
-		runner.costs = spillcost.CostsInto(runner.costs, f, cfg.CostModel)
-		costs = runner.costs
-	} else {
-		costs = spillcost.Costs(f, cfg.CostModel)
-	}
-
-	m.SetStage(raerr.StageCliques)
-	cs, derr := cliques.DeriveBudget(info, dom, csScratch, m)
-	if derr != nil {
-		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageCliques, Err: derr}
+		if !any {
+			continue
 		}
-		return spillAll(f, cfg, dom, info, m, m.BudgetErr())
+		p := sc.classProblem(cs, cs.Project(include, &sc.sub[c], r.cs), d.p, d.rc.Caps[c])
+		res, err := r.allocate(d, a, p)
+		if err != nil {
+			return nil, err
+		}
+		for vx, al := range res.Allocated {
+			if al {
+				allocated[p.Cliques.ValueOf[vx]] = true
+			}
+		}
 	}
-	if cs == nil {
-		return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain",
-			Err: fmt.Errorf("%w: clique-structure derivation failed", raerr.ErrNotSSA)}
+	merged := &alloc.Result{Allocated: make([]bool, cs.N), Allocator: a.Name()}
+	for vx := range merged.Allocated {
+		merged.Allocated[vx] = allocated[cs.ValueOf[vx]]
 	}
+	return merged, nil
+}
 
-	classes, pins, forced, forbid := rc.Class, rc.Pins, sc.forced, rc.Forbid
-	callSpans := ra.LiveThroughCalls(info)
+// forceSpills marks the values whose machine constraints admit no register
+// and fills the forbid masks of the others, over the function's clobbering
+// calls (which it stores in d.spans).
+func (r *Runner) forceSpills(d *run) {
+	sc, info, costs, nv := &r.con, d.info, r.costs, d.f.NumValues
+	classes, pins, forced, forbid, caps := d.rc.Class, d.rc.Pins, sc.forced, d.rc.Forbid, &d.rc.Caps
+	d.spans = r.ra.LiveThroughCalls(info)
+	callSpans := d.spans
 
 	// Pass 1 — a pre-colored value whose pin a spanned call clobbers cannot
 	// keep its register across that call: forced spill.
@@ -234,224 +214,16 @@ func runConstrained(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 		}
 	}
 	for v := 0; v < nv; v++ {
-		if forced[v] || cs.VertexOf[v] < 0 || pins[v] != regassign.NoReg {
+		if forced[v] || d.cs.VertexOf[v] < 0 || pins[v] != regassign.NoReg {
 			continue
 		}
 		if ^forbid[v]&capMask(caps[classes[v]]) == 0 {
 			forced[v] = true
 		}
 	}
-
-	// The merged problem the per-class results must satisfy together. Its
-	// intervals are computed once; a value's interval does not depend on the
-	// subset it is allocated in, so each class projects them.
-	pFull := alloc.BuildProblem(alloc.Spec{Cliques: cs, Costs: costs, R: cfg.Registers, Constraints: cons})
-	pFull.Intervals = linearscan.IntervalsFromLiveness(info, cs.VertexOf, cs.N)
-
-	// Spilling: one chordal subproblem per register class, each against its
-	// own capacity, solved by the same allocator the fungible path would use.
-	// The class's structure is a projection of the function's one clique
-	// structure.
-	a := cfg.Allocator
-	if a == nil {
-		if runner != nil {
-			a = runner.defaultChordal
-		} else {
-			a = layered.BFPL()
-		}
-	}
-	var allocatedVals, spilledVals []bool
-	if runner != nil {
-		runner.allocatedVals = resizeFlags(runner.allocatedVals, nv)
-		runner.spilledVals = resizeFlags(runner.spilledVals, nv)
-		allocatedVals, spilledVals = runner.allocatedVals, runner.spilledVals
-	} else {
-		allocatedVals, spilledVals = make([]bool, nv), make([]bool, nv)
-	}
-	include := sc.include
-	m.SetStage(raerr.StageAllocate)
-	for c := ir.Class(0); c < ir.NumClasses; c++ {
-		if caps[c] == 0 {
-			continue // compat check: no value has this class
-		}
-		// One charge per class pass covers the include-mask sweep and the
-		// projection; the allocator itself charges per layer.
-		if !m.Charge(nv) {
-			if !cfg.Degrade {
-				return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAllocate, Err: m.Err()}
-			}
-			return spillAll(f, cfg, dom, info, m, m.BudgetErr())
-		}
-		any := false
-		for v := range include {
-			inc := cs.VertexOf[v] >= 0 && !forced[v] && classes[v] == c
-			include[v] = inc
-			any = any || inc
-		}
-		if !any {
-			continue
-		}
-		p := sc.classProblem(cs, cs.Project(include, &sc.sub[c], csScratch), pFull, caps[c])
-		if chk, ok := a.(alloc.ProblemChecker); ok {
-			if err := chk.CheckProblem(p); err != nil {
-				return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate", Err: err}
-			}
-		}
-		p.Meter = m
-		res := a.Allocate(p)
-		p.Meter = nil
-		if res == nil || len(res.Allocated) != p.N() {
-			got := -1
-			if res != nil {
-				got = len(res.Allocated)
-			}
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
-				Err: fmt.Errorf("allocator %s returned a malformed result: %d of %d vertices covered",
-					a.Name(), got, p.N())}
-		}
-		if err := p.Validate(res); err != nil {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
-				Err: fmt.Errorf("%w: allocator %s returned an invalid %s allocation: %w",
-					raerr.ErrPressureUnsatisfiable, a.Name(), c, err)}
-		}
-		for vx, al := range res.Allocated {
-			if al {
-				allocatedVals[p.Cliques.ValueOf[vx]] = true
-			}
-		}
-	}
-	if m.Exceeded() || !m.CheckNow() {
-		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAllocate, Err: m.Err()}
-		}
-		return spillAll(f, cfg, dom, info, m, m.BudgetErr())
-	}
-
-	// Assignment with the force-spill retry loop, before the Outcome's spill
-	// bookkeeping (a retry shrinks the allocated set).
-	var regOf []int
-	var coalStats *coalesce.Stats
-	if !cfg.SkipRewrite {
-		// Coalescing bias, built per register class against the class
-		// capacity (endpoints of different classes can never share a
-		// register). Pins seed the class hints, so copy chains rooted at an
-		// ABI register chase the pin.
-		var bias *regassign.Bias
-		var moves []coalesce.VMove
-		var aff *coalesce.Affinity
-		if cfg.Coalescing != coalesce.Off {
-			moves = sc.bias.Moves(f, cfg.CostModel)
-			if len(moves) > 0 {
-				aff = coalesce.BuildAffinityConstrained(cs, f, moves, cfg.Coalescing, caps, &sc.bias)
-				if aff != nil {
-					sc.hints.Reset(aff.ClassOf, aff.NumClasses)
-					bias = &sc.hints
-				}
-			}
-		}
-		m.SetStage(raerr.StageAssign)
-		regOf = make([]int, nv)
-		for tries := 0; ; tries++ {
-			// The constrained assigner is not internally metered; one charge
-			// per attempt bounds the O(V) force-spill retry loop.
-			if !m.Charge(nv) {
-				if !cfg.Degrade {
-					return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAssign, Err: m.Err()}
-				}
-				return spillAll(f, cfg, dom, info, m, m.BudgetErr())
-			}
-			stuck, aerr := ra.AssignConstrained(f, dom, info, allocatedVals, rc, bias, regOf)
-			if aerr == nil && stuck.Val < 0 {
-				break
-			}
-			if bias != nil {
-				// Bias must never cost a spill: pin collisions can make a
-				// hint-following scan fail where the lowest-admissible one
-				// succeeds, so the first failed biased attempt retries
-				// unbiased — before any force-spill — keeping the spill set
-				// identical to the unbiased pipeline's.
-				bias = nil
-				continue
-			}
-			if aerr != nil || !allocatedVals[stuck.Val] || tries >= nv {
-				if aerr == nil {
-					aerr = stuck.Err(f)
-				}
-				return nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
-					Err: fmt.Errorf("%w: constrained assignment failed: %w",
-						raerr.ErrPressureUnsatisfiable, aerr)}
-			}
-			allocatedVals[stuck.Val] = false
-		}
-		if cfg.Coalescing != coalesce.Off {
-			coalStats = coalesce.StatsFor(cfg.Coalescing, moves, regOf, aff)
-		}
-		if err := regassign.VerifyAssignment(info, allocatedVals, regOf); err != nil {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
-				Err: fmt.Errorf("assignment verification failed: %w", err)}
-		}
-		if err := regassign.VerifyClassAssignment(f, allocatedVals, regOf, rc); err != nil {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
-				Err: fmt.Errorf("assignment verification failed: %w", err)}
-		}
-		for i := range callSpans {
-			span := &callSpans[i]
-			for _, v := range span.Live {
-				if allocatedVals[v] && span.Clobbers(regOf[v]) {
-					return nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
-						Err: fmt.Errorf("value %s holds caller-saved %s across a clobbering call",
-							f.NameOf(v), ir.RegName(regOf[v]))}
-				}
-			}
-		}
-	}
-
-	merged := &alloc.Result{Allocated: make([]bool, cs.N), Allocator: a.Name()}
-	spilled := 0
-	for vx := range merged.Allocated {
-		merged.Allocated[vx] = allocatedVals[cs.ValueOf[vx]]
-		if !merged.Allocated[vx] {
-			spilled++
-		}
-	}
-	if err := pFull.ValidateClasses(merged, classes); err != nil {
-		return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
-			Err: fmt.Errorf("%w: merged constrained allocation invalid: %w",
-				raerr.ErrPressureUnsatisfiable, err)}
-	}
-	out := &Outcome{
-		F: f, Cliques: cs, Problem: pFull, Result: merged,
-		VertexOf: cs.VertexOf, ValueOf: cs.ValueOf, MaxLive: cs.MaxLive,
-		SpillCost: merged.SpillCost(pFull),
-	}
-	if spilled > 0 {
-		out.SpilledValues = make([]int, 0, spilled)
-		for vx, al := range merged.Allocated {
-			if !al {
-				out.SpilledValues = append(out.SpilledValues, cs.ValueOf[vx])
-			}
-		}
-	}
-
-	if !cfg.SkipRewrite {
-		out.RegisterOf = regOf
-		out.Coalesce = coalStats
-		for _, v := range out.SpilledValues {
-			spilledVals[v] = true
-		}
-		out.Rewritten = regassign.InsertSpillCode(f, spilledVals)
-		if len(out.SpilledValues) > 0 {
-			if err := out.Rewritten.Validate(); err != nil {
-				return nil, &raerr.FuncError{Func: f.Name, Stage: "rewrite",
-					Err: fmt.Errorf("spill-code rewrite broke the function: %w", err)}
-			}
-		}
-	}
-	out.BudgetSpent = m.Spent()
-	return out, nil
 }
 
-// constrainedScratch is the Runner's reusable memory for runConstrained.
+// constrainedScratch is the Runner's reusable memory for machine runs.
 // Outcomes never reference it.
 type constrainedScratch struct {
 	cons    regassign.Constraints // dense classes, pins, forbid masks
@@ -463,16 +235,17 @@ type constrainedScratch struct {
 	weight    []float64
 	intervals [][2]int
 	cand      []int // pass 3: one class's survivors of one call
-	bias      coalesce.BiasScratch
-	hints     regassign.Bias
 }
 
-// reset sizes the value-indexed state for f and fills the classes and pins
-// from its annotations; it returns the scan constraints over them.
-func (sc *constrainedScratch) reset(f *ir.Func, caps [ir.NumClasses]int) *regassign.Constraints {
+// reset sizes the value-indexed state for f and fills the capacities,
+// classes and pins from the machine and f's annotations; it returns the
+// scan constraints over them.
+func (sc *constrainedScratch) reset(f *ir.Func, cons *arch.Constraints) *regassign.Constraints {
 	nv := f.NumValues
 	rc := &sc.cons
-	rc.Caps = caps
+	for c := ir.Class(0); c < ir.NumClasses; c++ {
+		rc.Caps[c] = cons.Cap(c)
+	}
 	rc.Class = resize(rc.Class, nv)
 	clear(rc.Class) // ClassGPR is the zero class
 	for v, c := range f.ValueClass {

@@ -12,15 +12,22 @@
 //	// out.RegisterOf: concrete register per value (SSA functions)
 //	// out.Rewritten: the function with spill/reload code inserted
 //
+// One driver runs every configuration. A run without a machine is the
+// one-class case of a machine-constrained run: one GPR class of capacity R,
+// no pins, no clobbers. Both share validation, admission, loop analysis,
+// liveness, spill costs, the interference structure, the tree-scan and its
+// verification, the rewrite and the degradation ladder; only a machine run
+// adds the forced-spill passes and allocates each register class over a
+// projection of the function's clique structure.
+//
 // Two interference representations back the pipeline. Strict-SSA functions
 // take the IFG-free fast path: the clique structure the layered allocators
 // need (live sets, def-point cliques, dominance elimination order) is
 // derived straight from liveness by internal/cliques, and no interference
 // graph is ever materialized unless an edge-based allocator (GC, Optimal,
 // LH) asks for one. Non-SSA functions — and SSA functions with non-inert
-// unreachable code, or any run with Config.LegacyIFG — build the explicit
-// graph via internal/ifg as before. Both paths produce identical
-// allocations (pinned by TestFastPathMatchesIFGPath).
+// unreachable code — build the explicit graph via internal/ifg. Both paths
+// produce identical allocations (pinned by TestFastPathMatchesIFGPath).
 //
 // Lower-level control (custom cost models, direct graph problems) is
 // available from the internal packages this one composes: alloc, cliques,
@@ -60,10 +67,6 @@ type Config struct {
 	// SkipRewrite disables spill-code insertion and register assignment
 	// (allocation decisions only).
 	SkipRewrite bool
-	// LegacyIFG forces the explicit interference-graph path even for
-	// functions eligible for the IFG-free fast path. Diagnostics and the
-	// fast-path differential tests only; results are identical either way.
-	LegacyIFG bool
 	// TrustedCostModel skips the per-function CostModel validation. Batch
 	// drivers that validate the model once per module set this; leave it
 	// false everywhere else.
@@ -72,7 +75,7 @@ type Config struct {
 	// allocation: values are allocated per register class against the
 	// machine's class capacities, pre-colored values keep their ABI register,
 	// and values live across clobbering calls avoid (or spill around) the
-	// caller-saved registers. Requires strict SSA; see runConstrained.
+	// caller-saved registers. Requires strict SSA.
 	Constraints *arch.Constraints
 	// Budget, when Active, bounds the run's resources: a wall-clock
 	// deadline, a work-step budget charged cooperatively at analysis
@@ -89,9 +92,8 @@ type Config struct {
 	// clique-membership degrees) and the tree-scan prefers an affine
 	// partner's register when it is free — never at the cost of an extra
 	// spill, and never changing which values are allocated. The zero value
-	// (coalesce.Off) reproduces the unbiased pipeline byte-for-byte.
-	// Incompatible with LegacyIFG; no-op for non-SSA functions and on
-	// degraded rungs.
+	// (coalesce.Off) reproduces the unbiased pipeline byte-for-byte. No-op
+	// for non-SSA functions and on degraded rungs.
 	Coalescing coalesce.Policy
 	// Degrade converts a budget trip into a degraded-but-correct Outcome
 	// instead of an error: the run falls down the ladder
@@ -100,6 +102,10 @@ type Config struct {
 	// Outcome records the rung and reason in Degraded. With Degrade false a
 	// trip surfaces as a *raerr.FuncError wrapping *raerr.BudgetError.
 	Degrade bool
+
+	// legacyIFG forces the explicit interference-graph path on a run
+	// without a machine: the oracle of the fast-path differential tests.
+	legacyIFG bool
 }
 
 // Rung labels of the degradation ladder, recorded in Degradation.Rung.
@@ -110,9 +116,20 @@ const (
 	RungLinearScan = "linear-scan"
 	// RungSpillAll: the floor — every occurring value is spilled. Reached
 	// when the budget trips before the problem structure exists (admission,
-	// liveness, cliques) or when the linear-scan rung itself fails.
+	// liveness, cliques), on any machine-constrained trip, or when the
+	// linear-scan rung itself fails.
 	RungSpillAll = "spill-all"
 )
+
+// rungAfter is the degradation ladder as a table: the rung a budget trip in
+// a stage falls to. Allocation and assignment trips leave the problem
+// structure intact, so the linear scan can redo the allocation — on a run
+// without a machine (the interval scan is blind to pins and clobbers) whose
+// problem has intervals. Every other trip lands on the spill-all floor.
+var rungAfter = map[string]string{
+	raerr.StageAllocate: RungLinearScan,
+	raerr.StageAssign:   RungLinearScan,
+}
 
 // Degradation records how a budget-governed run fell down the ladder.
 type Degradation struct {
@@ -132,7 +149,7 @@ type Outcome struct {
 	// Build is the explicit interference-graph build; nil on the IFG-free
 	// fast path (use Problem.Graph() to materialize one on demand).
 	Build *ifg.Build
-	// Cliques is the fast path's structure; nil on the legacy graph path.
+	// Cliques is the fast path's structure; nil on the explicit-graph path.
 	Cliques *cliques.Structure
 	Problem *alloc.Problem
 	Result  *alloc.Result
@@ -183,16 +200,41 @@ type Runner struct {
 	// Runner rather than once per function.
 	defaultChordal alloc.Allocator
 	defaultGeneral alloc.Allocator
-	// Reusable value-indexed flag slices for the rewrite stage.
+	// Reusable value-indexed flag slices for assignment and rewrite.
 	allocatedVals []bool
 	spilledVals   []bool
 	// Reusable spill-cost vector (BuildProblem copies what it keeps, so
 	// the buffer never escapes into an Outcome).
 	costs []float64
-	// Affinity-construction scratch for coalescing-biased assignment.
-	bias *coalesce.BiasScratch
-	// The machine-constrained driver's state, created on first use.
-	con *constrainedScratch
+	// Affinity construction and the scan's hint table for coalescing.
+	bias  coalesce.BiasScratch
+	hints regassign.Bias
+	// The scan constraints of a run without a machine, and a machine run's
+	// per-class state.
+	oneClass regassign.Constraints
+	con      constrainedScratch
+	cur      run
+}
+
+// run is the state of one Runner.Run call: its inputs and the analyses as
+// the stages produce them. It lives in the Runner and is overwritten by the
+// next call.
+type run struct {
+	f     *ir.Func
+	cfg   Config
+	dom   *ir.Dominance
+	m     *budget.Meter
+	info  *liveness.Info
+	cs    *cliques.Structure
+	build *ifg.Build
+	p     *alloc.Problem
+	// vertexOf/valueOf translate between value IDs and p's vertices.
+	vertexOf, valueOf []int
+	// rc is the scan's register file: the machine's classes, pins and bans,
+	// or one GPR class of capacity R.
+	rc *regassign.Constraints
+	// spans are the clobbering calls of a machine run.
+	spans []regassign.CallSpan
 }
 
 // NewRunner returns a Runner with empty scratch.
@@ -206,18 +248,14 @@ func NewRunner() *Runner {
 	}
 }
 
+// Run executes the decoupled register-allocation pipeline on f.
+func Run(f *ir.Func, cfg Config) (*Outcome, error) {
+	return NewRunner().Run(f, cfg)
+}
+
 // Run executes the decoupled register-allocation pipeline on f, reusing the
 // runner's scratch.
 func (r *Runner) Run(f *ir.Func, cfg Config) (*Outcome, error) {
-	return run(f, cfg, r)
-}
-
-// Run executes the decoupled register-allocation pipeline on f.
-func Run(f *ir.Func, cfg Config) (*Outcome, error) {
-	return run(f, cfg, nil)
-}
-
-func run(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 	if cfg.Registers < 1 {
 		return nil, fmt.Errorf("%w: Registers must be ≥ 1, got %d", raerr.ErrInvalidConfig, cfg.Registers)
 	}
@@ -226,116 +264,141 @@ func run(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 			return nil, fmt.Errorf("%w: invalid cost model: %w", raerr.ErrInvalidConfig, err)
 		}
 	}
-	if cfg.Coalescing != coalesce.Off {
-		if !cfg.Coalescing.Valid() {
-			return nil, fmt.Errorf("%w: unknown coalescing policy %d", raerr.ErrInvalidConfig, cfg.Coalescing)
-		}
-		if cfg.LegacyIFG {
-			return nil, fmt.Errorf("%w: coalescing-biased assignment requires the IFG-free fast path (unset LegacyIFG)",
-				raerr.ErrInvalidConfig)
-		}
+	if cfg.Coalescing != coalesce.Off && !cfg.Coalescing.Valid() {
+		return nil, fmt.Errorf("%w: unknown coalescing policy %d", raerr.ErrInvalidConfig, cfg.Coalescing)
 	}
-	if cfg.Constraints != nil {
-		return runConstrained(f, cfg, runner)
+	cons := cfg.Constraints
+	if cons != nil {
+		if err := checkMachine(cons); err != nil {
+			return nil, err
+		}
 	}
 	dom, err := f.ValidateAnalyzed()
 	if err != nil {
 		return nil, &raerr.FuncError{Func: f.Name, Stage: "validate",
 			Err: fmt.Errorf("invalid input function: %w", err)}
 	}
-	m := budget.NewMeter(cfg.Budget)
-	if be := cfg.Budget.Admit(f.NumValues, len(f.Blocks)); be != nil {
-		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "admission", Err: be}
+	d := &r.cur
+	*d = run{f: f, cfg: cfg, dom: dom}
+	reason := cliques.Inapplicable(f, dom)
+	fast := !cfg.legacyIFG && (reason == cliques.ReasonApplicable || reason == cliques.ReasonConstrained)
+	if cons != nil {
+		if err := r.constrain(d, reason); err != nil {
+			return nil, err
 		}
-		return spillAll(f, cfg, dom, nil, m, be)
+	} else {
+		r.oneClass = regassign.OneClass(cfg.Registers)
+		d.rc = &r.oneClass
+	}
+
+	d.m = budget.NewMeter(cfg.Budget)
+	if be := cfg.Budget.Admit(f.NumValues, len(f.Blocks)); be != nil {
+		return r.fail(d, raerr.StageAdmission, be)
 	}
 	f.ComputeLoops(dom)
-	m.SetStage(raerr.StageLiveness)
-	var info *liveness.Info
-	if runner != nil {
-		info, err = runner.live.ComputeBudget(f, m)
-	} else {
-		info, err = liveness.ComputeBudget(f, m)
-	}
+	d.m.SetStage(raerr.StageLiveness)
+	info, err := r.live.ComputeBudget(f, d.m)
 	if err != nil {
-		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageLiveness, Err: err}
-		}
-		return spillAll(f, cfg, dom, nil, m, m.BudgetErr())
+		return r.fail(d, raerr.StageLiveness, err)
 	}
-	var costs []float64
-	if runner != nil {
-		runner.costs = spillcost.CostsInto(runner.costs, f, cfg.CostModel)
-		costs = runner.costs
-	} else {
-		costs = spillcost.Costs(f, cfg.CostModel)
-	}
+	d.info = info
+	r.costs = spillcost.CostsInto(r.costs, f, cfg.CostModel)
 
 	// Interference analysis: clique structure straight from liveness for
 	// strict SSA (the fast path), explicit graph otherwise.
-	var build *ifg.Build
-	var cs *cliques.Structure
-	var p *alloc.Problem
-	m.SetStage(raerr.StageCliques)
-	if !cfg.LegacyIFG && cliques.Applicable(f, dom) {
-		var scratch *cliques.Scratch
-		if runner != nil {
-			scratch = runner.cs
-		}
-		cs, err = cliques.DeriveBudget(info, dom, scratch, m)
-		if err != nil {
-			if !cfg.Degrade {
-				return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageCliques, Err: err}
-			}
-			return spillAll(f, cfg, dom, info, m, m.BudgetErr())
+	d.m.SetStage(raerr.StageCliques)
+	if fast {
+		if d.cs, err = cliques.DeriveBudget(info, dom, r.cs, d.m); err != nil {
+			return r.fail(d, raerr.StageCliques, err)
 		}
 	}
-	if cs != nil {
-		p = alloc.BuildProblem(alloc.Spec{Cliques: cs, Costs: costs, R: cfg.Registers})
-		p.Intervals = linearscan.IntervalsFromLiveness(info, cs.VertexOf, cs.N)
-	} else {
+	switch {
+	case d.cs != nil:
+		d.p = alloc.BuildProblem(alloc.Spec{Cliques: d.cs, Costs: r.costs, R: cfg.Registers, Constraints: cons})
+		d.p.Intervals = linearscan.IntervalsFromLiveness(info, d.cs.VertexOf, d.cs.N)
+		d.vertexOf, d.valueOf = d.cs.VertexOf, d.cs.ValueOf
+	case cons != nil:
+		return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain",
+			Err: fmt.Errorf("%w: clique-structure derivation failed", raerr.ErrNotSSA)}
+	default:
 		// The explicit-graph build has no internal metering; the stage
 		// boundary's forced clock check keeps a deadline honest here.
-		if !m.CheckNow() {
-			if !cfg.Degrade {
-				return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageCliques, Err: m.Err()}
-			}
-			return spillAll(f, cfg, dom, info, m, m.BudgetErr())
+		if !d.m.CheckNow() {
+			return r.fail(d, raerr.StageCliques, d.m.Err())
 		}
-		build = ifg.FromLiveness(info)
-		p = alloc.BuildProblem(alloc.Spec{Build: build, Costs: costs, R: cfg.Registers, Dom: dom})
-		p.Intervals = linearscan.BuildIntervals(info, build)
+		d.build = ifg.FromLiveness(info)
+		d.p = alloc.BuildProblem(alloc.Spec{Build: d.build, Costs: r.costs, R: cfg.Registers, Dom: dom})
+		d.p.Intervals = linearscan.BuildIntervals(info, d.build)
+		d.vertexOf, d.valueOf = d.build.VertexOf, d.build.ValueOf
 	}
 
 	a := cfg.Allocator
 	if a == nil {
-		switch {
-		case p.Chordal && runner != nil:
-			a = runner.defaultChordal
-		case p.Chordal:
-			a = layered.BFPL()
-		case runner != nil:
-			a = runner.defaultGeneral
-		default:
-			a = layered.NewLH()
+		a = r.defaultGeneral
+		if d.p.Chordal {
+			a = r.defaultChordal
 		}
 	}
-	if !p.Chordal && alloc.ChordalOnly(a.Name()) {
+	if !d.p.Chordal && alloc.ChordalOnly(a.Name()) {
 		return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
 			Err: fmt.Errorf("%w: allocator %s requires a chordal (strict-SSA) instance",
 				raerr.ErrNotSSA, a.Name())}
 	}
-	// Structural preconditions (chordality, intervals, option sanity) are
-	// checked up front so a malformed problem surfaces as a typed error
-	// instead of a panic from inside the algorithm.
+	d.m.SetStage(raerr.StageAllocate)
+	var res *alloc.Result
+	if cons == nil {
+		res, err = r.allocate(d, a, d.p)
+	} else {
+		res, err = r.allocateClasses(d, a)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// A metered allocator stopped at a charge boundary (its partial result
+	// is valid but incomplete); an un-metered one is caught by the clock.
+	if d.m.Exceeded() || !d.m.CheckNow() {
+		return r.fail(d, raerr.StageAllocate, d.m.Err())
+	}
+	out, err := r.finish(d, res, d.m, nil)
+	if err != nil {
+		if d.m.Exceeded() {
+			return r.fail(d, raerr.StageAssign, d.m.Err())
+		}
+		return nil, err
+	}
+	out.BudgetSpent = d.m.Spent()
+	return out, nil
+}
+
+// fail ends a run whose budget tripped in stage: with a typed error, or —
+// under Config.Degrade — on the ladder rung the stage table assigns.
+func (r *Runner) fail(d *run, stage string, err error) (*Outcome, error) {
+	cfg := d.cfg
+	if !cfg.Degrade {
+		return nil, &raerr.FuncError{Func: d.f.Name, Stage: stage, Err: err}
+	}
+	trip, ok := err.(*raerr.BudgetError) // admission: the meter never ran
+	if !ok {
+		trip = d.m.BudgetErr()
+	}
+	if rungAfter[stage] == RungLinearScan && cfg.Constraints == nil && d.p.Intervals != nil {
+		return r.linearScan(d, trip)
+	}
+	return r.spillAll(d, trip)
+}
+
+// allocate runs a on p under the run's meter. Structural preconditions
+// (chordality, intervals, option sanity) are checked up front so a
+// malformed problem surfaces as a typed error instead of a panic from
+// inside the algorithm, and the result is checked for shape and pressure.
+func (r *Runner) allocate(d *run, a alloc.Allocator, p *alloc.Problem) (*alloc.Result, error) {
+	f := d.f
 	if c, ok := a.(alloc.ProblemChecker); ok {
 		if err := c.CheckProblem(p); err != nil {
 			return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate", Err: err}
 		}
 	}
-	m.SetStage(raerr.StageAllocate)
-	p.Meter = m
+	p.Meter = d.m
 	res := a.Allocate(p)
 	p.Meter = nil
 	// A structurally malformed result (custom allocators) is a contract
@@ -354,46 +417,157 @@ func run(f *ir.Func, cfg Config, runner *Runner) (*Outcome, error) {
 			Err: fmt.Errorf("%w: allocator %s returned an invalid allocation: %w",
 				raerr.ErrPressureUnsatisfiable, a.Name(), err)}
 	}
-	// A metered allocator stopped at a charge boundary (its partial result
-	// is valid but incomplete); an un-metered one is caught by the clock.
-	if m.Exceeded() || !m.CheckNow() {
-		if !cfg.Degrade {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAllocate, Err: m.Err()}
-		}
-		return linearScanRung(f, cfg, runner, dom, info, build, cs, p, m)
-	}
+	return res, nil
+}
 
-	out := outcomeFrom(f, build, cs, p, res)
-	if !cfg.SkipRewrite && f.SSA && p.Chordal {
-		m.SetStage(raerr.StageAssign)
-		if ferr := assignAndRewrite(out, f, cfg, dom, info, runner, m); ferr != nil {
-			if m.Exceeded() && cfg.Degrade {
-				return linearScanRung(f, cfg, runner, dom, info, build, cs, p, m)
-			}
-			return nil, ferr
+// finish turns the allocation res over d.p into the Outcome: tree-scan
+// assignment, its verification and the spill-code rewrite for SSA chordal
+// instances, charging meter (the run's, or a rung's). Assignment may
+// force-spill values of a machine run, which res then records. On failure
+// the error is a ready-to-surface *raerr.FuncError; a budget trip is
+// detectable on the meter itself.
+func (r *Runner) finish(d *run, res *alloc.Result, meter *budget.Meter, degraded *Degradation) (*Outcome, error) {
+	f, cfg := d.f, d.cfg
+	var regOf []int
+	var coal *coalesce.Stats
+	if !cfg.SkipRewrite && f.SSA && d.p.Chordal {
+		meter.SetStage(raerr.StageAssign)
+		var err error
+		if regOf, coal, err = r.assign(d, res, meter, degraded == nil); err != nil {
+			return nil, err
 		}
 	}
-	out.BudgetSpent = m.Spent()
+	if cfg.Constraints != nil {
+		if err := d.p.ValidateClasses(res, d.rc.Class); err != nil {
+			return nil, &raerr.FuncError{Func: f.Name, Stage: "allocate",
+				Err: fmt.Errorf("%w: merged constrained allocation invalid: %w",
+					raerr.ErrPressureUnsatisfiable, err)}
+		}
+	}
+	out := outcomeFrom(d, res)
+	out.Degraded = degraded
+	if regOf == nil {
+		return out, nil
+	}
+	out.RegisterOf, out.Coalesce = regOf, coal
+	r.spilledVals = resizeFlags(r.spilledVals, f.NumValues)
+	for _, v := range out.SpilledValues {
+		r.spilledVals[v] = true
+	}
+	out.Rewritten = regassign.InsertSpillCode(f, r.spilledVals)
+	if len(out.SpilledValues) > 0 {
+		// With no spills the rewrite is a plain clone of the function
+		// validated above; re-validating it would just recompute
+		// dominance for nothing.
+		if err := out.Rewritten.Validate(); err != nil {
+			return nil, &raerr.FuncError{Func: f.Name, Stage: "rewrite",
+				Err: fmt.Errorf("spill-code rewrite broke the function: %w", err)}
+		}
+	}
 	return out, nil
+}
+
+// assign runs the tree-scan over the values res allocates and verifies the
+// result. With biased set and coalescing on, φ/copy moves and affinity
+// classes come straight from the function and the clique structure — no
+// IFG; degraded rungs pass biased false (a budget-tripped run should not
+// buy move quality with extra analysis). Bias never changes the allocated
+// set, so the spill decisions are untouched either way.
+//
+// On a machine, pins can collide in ways pressure numbers do not see: a
+// stuck scan first retries unbiased (bias must never cost a spill), then
+// force-spills the value it names and retries — sound under
+// spill-everywhere, and bounded by the value count.
+func (r *Runner) assign(d *run, res *alloc.Result, meter *budget.Meter, biased bool) ([]int, *coalesce.Stats, error) {
+	f, cfg, nv := d.f, d.cfg, d.f.NumValues
+	machine := cfg.Constraints != nil
+	r.allocatedVals = resizeFlags(r.allocatedVals, nv)
+	allocated := r.allocatedVals
+	for vx, al := range res.Allocated {
+		if al {
+			allocated[d.valueOf[vx]] = true
+		}
+	}
+	var bias *regassign.Bias
+	var moves []coalesce.VMove
+	var aff *coalesce.Affinity
+	coalescing := cfg.Coalescing != coalesce.Off && d.cs != nil && biased
+	if coalescing {
+		moves = r.bias.Moves(f, cfg.CostModel)
+		if len(moves) > 0 {
+			if machine {
+				// Per register class against the class capacity: endpoints
+				// of different classes can never share a register.
+				aff = coalesce.BuildAffinityConstrained(d.cs, f, moves, cfg.Coalescing, d.rc.Caps, &r.bias)
+			} else {
+				aff = coalesce.BuildAffinity(d.cs, moves, cfg.Coalescing, cfg.Registers, &r.bias)
+			}
+			if aff != nil {
+				r.hints.Reset(aff.ClassOf, aff.NumClasses)
+				bias = &r.hints
+			}
+		}
+	}
+	regOf := make([]int, nv)
+	for tries := 0; ; tries++ {
+		// A machine run charges each attempt as a whole, bounding the O(V)
+		// retry loop; a run without one charges per block inside the scan.
+		scanMeter := meter
+		if machine {
+			if !meter.Charge(nv) {
+				return nil, nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAssign, Err: meter.Err()}
+			}
+			scanMeter = nil
+		}
+		stuck, err := r.ra.AssignConstrained(f, d.dom, d.info, allocated, d.rc, bias, scanMeter, regOf)
+		if err == nil && stuck.Val < 0 {
+			break
+		}
+		if meter.Exceeded() {
+			return nil, nil, &raerr.FuncError{Func: f.Name, Stage: raerr.StageAssign, Err: err}
+		}
+		if bias != nil {
+			bias = nil
+			continue
+		}
+		if err != nil || !machine || !allocated[stuck.Val] || tries >= nv {
+			if err == nil {
+				err = stuck.Err(f, d.rc)
+			}
+			return nil, nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
+				Err: fmt.Errorf("%w: assignment failed: %w", raerr.ErrPressureUnsatisfiable, err)}
+		}
+		allocated[stuck.Val] = false
+		res.Allocated[d.vertexOf[stuck.Val]] = false
+	}
+	if err := regassign.Verify(d.info, allocated, regOf, d.rc, d.spans); err != nil {
+		return nil, nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
+			Err: fmt.Errorf("assignment verification failed: %w", err)}
+	}
+	var coal *coalesce.Stats
+	if coalescing {
+		coal = coalesce.StatsFor(cfg.Coalescing, moves, regOf, aff)
+	}
+	return regOf, coal, nil
 }
 
 // outcomeFrom assembles the Outcome common to every ladder rung: problem,
 // result, vertex maps, spilled-value list and spill cost.
-func outcomeFrom(f *ir.Func, build *ifg.Build, cs *cliques.Structure, p *alloc.Problem, res *alloc.Result) *Outcome {
+func outcomeFrom(d *run, res *alloc.Result) *Outcome {
 	out := &Outcome{
-		F:         f,
-		Build:     build,
-		Cliques:   cs,
-		Problem:   p,
+		F:         d.f,
+		Build:     d.build,
+		Cliques:   d.cs,
+		Problem:   d.p,
 		Result:    res,
-		SpillCost: res.SpillCost(p),
+		VertexOf:  d.vertexOf,
+		ValueOf:   d.valueOf,
+		SpillCost: res.SpillCost(d.p),
 	}
-	if cs != nil {
-		out.VertexOf, out.ValueOf = cs.VertexOf, cs.ValueOf
-		out.MaxLive = cs.MaxLive
+	if d.cs != nil {
+		out.MaxLive = d.cs.MaxLive
 	} else {
-		out.VertexOf, out.ValueOf = build.VertexOf, build.ValueOf
-		out.MaxLive = build.MaxLive
+		out.MaxLive = d.build.MaxLive
 	}
 	spilledCount := 0
 	for _, al := range res.Allocated {
@@ -413,130 +587,40 @@ func outcomeFrom(f *ir.Func, build *ifg.Build, cs *cliques.Structure, p *alloc.P
 	return out
 }
 
-// assignAndRewrite runs tree-scan assignment, assignment verification and
-// spill-code insertion for an SSA chordal outcome, charging the given meter
-// (the run meter, or a rung sub-meter). On failure the returned error is a
-// ready-to-surface *raerr.FuncError; a budget trip is detectable on the
-// meter itself.
-func assignAndRewrite(out *Outcome, f *ir.Func, cfg Config, dom *ir.Dominance, info *liveness.Info, runner *Runner, meter *budget.Meter) error {
-	res := out.Result
-	var allocatedVals, spilledVals []bool
-	if runner != nil {
-		runner.allocatedVals = resizeFlags(runner.allocatedVals, f.NumValues)
-		runner.spilledVals = resizeFlags(runner.spilledVals, f.NumValues)
-		allocatedVals, spilledVals = runner.allocatedVals, runner.spilledVals
-	} else {
-		allocatedVals = make([]bool, f.NumValues)
-		spilledVals = make([]bool, f.NumValues)
-	}
-	for vx, al := range res.Allocated {
-		if al {
-			allocatedVals[out.ValueOf[vx]] = true
-		}
-	}
-	var ra *regassign.Scratch
-	if runner != nil {
-		ra = runner.ra
-	}
-	// Coalescing-biased assignment: φ/copy moves and affinity classes come
-	// straight from the function and the clique structure — no IFG. Degraded
-	// rungs skip the bias (a budget-tripped run should not buy move quality
-	// with extra analysis); bias never changes the allocated set, so the
-	// spill decisions above are untouched either way.
-	var bias *regassign.Bias
-	var moves []coalesce.VMove
-	var aff *coalesce.Affinity
-	if cfg.Coalescing != coalesce.Off && out.Cliques != nil && out.Degraded == nil {
-		moves = coalesce.MovesFromFunc(f, cfg.CostModel)
-		if len(moves) > 0 {
-			var sc *coalesce.BiasScratch
-			if runner != nil {
-				if runner.bias == nil {
-					runner.bias = &coalesce.BiasScratch{}
-				}
-				sc = runner.bias
-			}
-			aff = coalesce.BuildAffinity(out.Cliques, moves, cfg.Coalescing, cfg.Registers, sc)
-			if aff != nil {
-				bias = regassign.NewBias(aff.ClassOf, aff.NumClasses)
-			}
-		}
-	}
-	regOf, err := regassign.AssignBiasedBudget(f, dom, info, allocatedVals, cfg.Registers, ra, meter, bias)
-	if err != nil {
-		if meter.Exceeded() {
-			return &raerr.FuncError{Func: f.Name, Stage: raerr.StageAssign, Err: err}
-		}
-		return &raerr.FuncError{Func: f.Name, Stage: "assign",
-			Err: fmt.Errorf("%w: assignment after allocation failed: %w",
-				raerr.ErrPressureUnsatisfiable, err)}
-	}
-	if err := regassign.VerifyAssignment(info, allocatedVals, regOf); err != nil {
-		return &raerr.FuncError{Func: f.Name, Stage: "assign",
-			Err: fmt.Errorf("assignment verification failed: %w", err)}
-	}
-	out.RegisterOf = regOf
-	if cfg.Coalescing != coalesce.Off && out.Cliques != nil && out.Degraded == nil {
-		out.Coalesce = coalesce.StatsFor(cfg.Coalescing, moves, regOf, aff)
-	}
-	for _, v := range out.SpilledValues {
-		spilledVals[v] = true
-	}
-	out.Rewritten = regassign.InsertSpillCode(f, spilledVals)
-	if len(out.SpilledValues) > 0 {
-		// With no spills the rewrite is a plain clone of the function
-		// validated above; re-validating it would just recompute
-		// dominance for nothing.
-		if err := out.Rewritten.Validate(); err != nil {
-			return &raerr.FuncError{Func: f.Name, Stage: "rewrite",
-				Err: fmt.Errorf("spill-code rewrite broke the function: %w", err)}
-		}
-	}
-	return nil
-}
-
-// linearScanRung is the middle rung of the degradation ladder: the
-// configured allocator ran out of budget during allocation or assignment,
-// so the allocation is redone by the DLS linear scan under a fresh, small
-// step allowance (the scan is O(n log n); the allowance only matters when
-// the shared wall-clock deadline is already near). Any failure inside the
-// rung — no intervals to scan, an invalid result, an assignment trip —
-// falls through to the spill-all floor.
-func linearScanRung(f *ir.Func, cfg Config, runner *Runner, dom *ir.Dominance, info *liveness.Info, build *ifg.Build, cs *cliques.Structure, p *alloc.Problem, m *budget.Meter) (*Outcome, error) {
-	trip := m.BudgetErr()
-	if p.Intervals == nil {
-		return spillAll(f, cfg, dom, info, m, trip)
-	}
-	rm := m.Rung(32*int64(p.N()) + 1024)
+// linearScan is the middle rung of the degradation ladder: the configured
+// allocator ran out of budget during allocation or assignment, so the
+// allocation is redone by the DLS linear scan under a fresh, small step
+// allowance (the scan is O(n log n); the allowance only matters when the
+// shared wall-clock deadline is already near). Any failure inside the rung
+// — an invalid result, an assignment trip — falls through to the spill-all
+// floor.
+func (r *Runner) linearScan(d *run, trip *raerr.BudgetError) (*Outcome, error) {
+	rm := d.m.Rung(32*int64(d.p.N()) + 1024)
 	rm.SetStage(raerr.StageAllocate)
-	p.Meter = rm
-	res := linearscan.DLS().Allocate(p)
-	p.Meter = nil
-	if err := p.Validate(res); err != nil {
-		m.AddSpent(rm.Spent())
-		return spillAll(f, cfg, dom, info, m, trip)
+	d.p.Meter = rm
+	res := linearscan.DLS().Allocate(d.p)
+	d.p.Meter = nil
+	var out *Outcome
+	err := d.p.Validate(res)
+	if err == nil {
+		out, err = r.finish(d, res, rm, &Degradation{Rung: RungLinearScan, Stage: trip.Stage, Reason: trip})
 	}
-	out := outcomeFrom(f, build, cs, p, res)
-	out.Degraded = &Degradation{Rung: RungLinearScan, Stage: trip.Stage, Reason: trip}
-	if !cfg.SkipRewrite && f.SSA && p.Chordal {
-		rm.SetStage(raerr.StageAssign)
-		if ferr := assignAndRewrite(out, f, cfg, dom, info, runner, rm); ferr != nil {
-			m.AddSpent(rm.Spent())
-			return spillAll(f, cfg, dom, info, m, trip)
-		}
+	d.m.AddSpent(rm.Spent())
+	if err != nil {
+		return r.spillAll(d, trip)
 	}
-	m.AddSpent(rm.Spent())
-	out.BudgetSpent = m.Spent()
+	out.BudgetSpent = d.m.Spent()
 	return out, nil
 }
 
 // spillAll is the floor of the degradation ladder: every value occurring in
 // reachable code is spilled. It needs no liveness, no interference
 // structure and no assignment — O(V) work — so it succeeds under any
-// budget; the trip that forced the fall is recorded in Degraded. info may
-// be nil (an admission or liveness trip happens before liveness exists), in
-// which case MaxLive is reported as 0.
-func spillAll(f *ir.Func, cfg Config, dom *ir.Dominance, info *liveness.Info, m *budget.Meter, trip *raerr.BudgetError) (*Outcome, error) {
+// budget; the trip that forced the fall is recorded in Degraded. d.info is
+// nil when an admission or liveness trip happened before liveness existed,
+// in which case MaxLive is reported as 0.
+func (r *Runner) spillAll(d *run, trip *raerr.BudgetError) (*Outcome, error) {
+	f, cfg := d.f, d.cfg
 	nv := f.NumValues
 	occurs := make([]bool, nv)
 	mark := func(v int) {
@@ -545,7 +629,7 @@ func spillAll(f *ir.Func, cfg Config, dom *ir.Dominance, info *liveness.Info, m 
 		}
 	}
 	for _, b := range f.Blocks {
-		if dom.Order[b.ID] < 0 {
+		if d.dom.Order[b.ID] < 0 {
 			continue // unreachable code contributes no problem values
 		}
 		for _, ins := range b.Instrs {
@@ -570,7 +654,7 @@ func spillAll(f *ir.Func, cfg Config, dom *ir.Dominance, info *liveness.Info, m 
 			valueOf = append(valueOf, v)
 		}
 	}
-	f.ComputeLoops(dom)
+	f.ComputeLoops(d.dom)
 	costs := spillcost.Costs(f, cfg.CostModel)
 	w := make([]float64, len(valueOf))
 	for vx, val := range valueOf {
@@ -590,8 +674,8 @@ func spillAll(f *ir.Func, cfg Config, dom *ir.Dominance, info *liveness.Info, m 
 		SpilledValues: append([]int(nil), valueOf...),
 		SpillCost:     res.SpillCost(p),
 	}
-	if info != nil {
-		out.MaxLive = info.MaxLive
+	if d.info != nil {
+		out.MaxLive = d.info.MaxLive
 	}
 	if trip != nil {
 		out.Degraded = &Degradation{Rung: RungSpillAll, Stage: trip.Stage, Reason: trip}
@@ -610,7 +694,7 @@ func spillAll(f *ir.Func, cfg Config, dom *ir.Dominance, info *liveness.Info, m 
 			}
 		}
 	}
-	out.BudgetSpent = m.Spent()
+	out.BudgetSpent = d.m.Spent()
 	return out, nil
 }
 
@@ -620,9 +704,7 @@ func resizeFlags(s []bool, n int) []bool {
 		return make([]bool, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
+	clear(s)
 	return s
 }
 

@@ -21,7 +21,7 @@ var fastPathRegisters = []int{2, 3, 4, 8}
 var diffAllocators = []string{"NL", "BL", "FPL", "BFPL", "GC", "DLS", "BLS", "LH"}
 
 // comparePaths runs f through the pipeline twice — fast path and forced
-// legacy IFG path — for one allocator and register count, and fails on any
+// explicit-graph path — for one allocator and register count, and fails on any
 // observable divergence: spill set, spill cost, register assignment, or the
 // rewritten function body.
 func comparePaths(t *testing.T, f *ir.Func, allocName string, r int) {
@@ -32,7 +32,7 @@ func comparePaths(t *testing.T, f *ir.Func, allocName string, r int) {
 	}
 	a2, _ := AllocatorByName(allocName)
 	fast, errFast := Run(f, Config{Registers: r, Allocator: a1})
-	legacy, errLegacy := Run(f, Config{Registers: r, Allocator: a2, LegacyIFG: true})
+	legacy, errLegacy := Run(f, Config{Registers: r, Allocator: a2, legacyIFG: true})
 	if (errFast != nil) != (errLegacy != nil) {
 		t.Fatalf("%s alloc=%s R=%d: fast err=%v legacy err=%v", f.Name, allocName, r, errFast, errLegacy)
 	}
@@ -94,7 +94,7 @@ func diffFunc(t *testing.T, f *ir.Func, withOptimal bool) bool {
 	}
 	// Default allocator selection (nil Allocator) must agree too.
 	fast, errFast := Run(f, Config{Registers: 4})
-	legacy, errLegacy := Run(f, Config{Registers: 4, LegacyIFG: true})
+	legacy, errLegacy := Run(f, Config{Registers: 4, legacyIFG: true})
 	if (errFast != nil) != (errLegacy != nil) {
 		t.Fatalf("%s default: fast err=%v legacy err=%v", f.Name, errFast, errLegacy)
 	}

@@ -51,14 +51,6 @@ type Config struct {
 	SkipRewrite bool
 	// Jobs is the worker count; 0 means GOMAXPROCS.
 	Jobs int
-	// NoScratchReuse gives every function a fresh pipeline instead of the
-	// per-worker core.Runner. Allocation-benchmark ablation only — results
-	// are identical either way.
-	NoScratchReuse bool
-	// LegacyIFG forces the explicit interference-graph path even for
-	// functions eligible for the IFG-free fast path (benchmark ablation and
-	// differential testing; results are identical either way).
-	LegacyIFG bool
 	// TrustedCostModel skips the batch-level CostModel validation: the
 	// caller (the regalloc Engine, which validates at construction time)
 	// guarantees the model is well-formed.
@@ -66,7 +58,6 @@ type Config struct {
 	// Coalescing enables coalescing-biased register assignment on the
 	// IFG-free fast path; see core.Config.Coalescing. The zero value
 	// (coalesce.Off) is byte-identical to the unbiased pipeline.
-	// Incompatible with LegacyIFG.
 	Coalescing coalesce.Policy
 	// Budget, when Active, bounds every function's resources (wall-clock
 	// deadline, work-step budget, admission gate); see core.Config.Budget.
@@ -266,14 +257,8 @@ func validateConfig(cfg Config) error {
 			return fmt.Errorf("%w: %w", raerr.ErrInvalidConfig, err)
 		}
 	}
-	if cfg.Coalescing != coalesce.Off {
-		if !cfg.Coalescing.Valid() {
-			return fmt.Errorf("%w: unknown coalescing policy %d", raerr.ErrInvalidConfig, cfg.Coalescing)
-		}
-		if cfg.LegacyIFG {
-			return fmt.Errorf("%w: coalescing-biased assignment requires the IFG-free fast path (unset LegacyIFG)",
-				raerr.ErrInvalidConfig)
-		}
+	if cfg.Coalescing != coalesce.Off && !cfg.Coalescing.Valid() {
+		return fmt.Errorf("%w: unknown coalescing policy %d", raerr.ErrInvalidConfig, cfg.Coalescing)
 	}
 	return nil
 }
@@ -289,16 +274,12 @@ func fingerprintConfig(cfg Config) fingerprint.Config {
 // one private allocator instance), checking for cancellation between
 // functions.
 func worker(ctx context.Context, m *ir.Module, cfg Config, results []FuncResult, done []bool, next *atomic.Int64, notify chan int) {
-	var runner *core.Runner
-	if !cfg.NoScratchReuse {
-		runner = core.NewRunner()
-	}
+	runner := core.NewRunner()
 	ccfg := core.Config{
 		Registers:   cfg.Registers,
 		CostModel:   cfg.CostModel,
 		Constraints: cfg.Constraints,
 		SkipRewrite: cfg.SkipRewrite,
-		LegacyIFG:   cfg.LegacyIFG,
 		Coalescing:  cfg.Coalescing,
 		Budget:      cfg.Budget,
 		Degrade:     cfg.Degrade,

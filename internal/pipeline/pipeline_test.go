@@ -47,16 +47,18 @@ func TestRunModuleDeterminism(t *testing.T) {
 }
 
 // TestRunModuleScratchReuseEquivalent: the per-worker Runner is a pure
-// memory optimization — disabling it must not change a byte of output.
+// memory optimization — a fresh core.Run per function must not change a
+// byte of output.
 func TestRunModuleScratchReuseEquivalent(t *testing.T) {
 	m := irgen.GenerateModule(7, 80)
 	with, err := RunModule(context.Background(), m, Config{Registers: 3, Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := RunModule(context.Background(), m, Config{Registers: 3, Jobs: 2, NoScratchReuse: true})
-	if err != nil {
-		t.Fatal(err)
+	without := make([]FuncResult, len(m.Funcs))
+	for i, f := range m.Funcs {
+		out, err := core.Run(f, core.Config{Registers: 3})
+		without[i] = FuncResult{Index: i, Name: f.Name, Outcome: out, Err: err}
 	}
 	if FormatResults(with, true) != FormatResults(without, true) {
 		t.Fatal("scratch reuse changed results")

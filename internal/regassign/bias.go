@@ -12,21 +12,12 @@ package regassign
 type Bias struct {
 	// ClassOf maps value ID to affinity class, -1 for none.
 	ClassOf []int32
-	// hint[class] is the register the class converged on: a plain index for
-	// the unconstrained scan, a RegRef for the constrained one; NoReg until
-	// the first member is coloured.
+	// hint[class] is the register (a RegRef) the class converged on; NoReg
+	// until the first member is coloured.
 	hint []int32
 }
 
-// NewBias builds a preference table over classOf (value → affinity class,
-// -1 none) with numClasses classes and no hints recorded yet.
-func NewBias(classOf []int32, numClasses int) *Bias {
-	b := &Bias{}
-	b.Reset(classOf, numClasses)
-	return b
-}
-
-// Reset re-initializes b over classOf with numClasses classes and no hints
+// Reset initializes b over classOf with numClasses classes and no hints
 // recorded, reusing its memory.
 func (b *Bias) Reset(classOf []int32, numClasses int) {
 	b.ClassOf = classOf

@@ -17,7 +17,7 @@ import (
 
 // TestAssignInvariantCorpus is the direct test of the chordal/tree-scan
 // guarantee: for every SSA corpus function, every allocator, and every
-// register count, Assign must succeed on the allocator's ≤-R allocation,
+// register count, the tree-scan must succeed on the allocator's ≤-R allocation,
 // give every allocated value a register in [0, R), and never let two
 // simultaneously-live allocated values share one. The sharing check here is
 // written against the raw per-point live sets, independently of
@@ -61,9 +61,9 @@ func TestAssignInvariantCorpus(t *testing.T) {
 						allocated[build.ValueOf[vx]] = true
 					}
 				}
-				regOf, err := Assign(f, info, allocated, r)
+				regOf, err := assign(f, info, allocated, r)
 				if err != nil {
-					t.Fatalf("%s R=%d %s: Assign failed on a valid allocation: %v",
+					t.Fatalf("%s R=%d %s: assignment failed on a valid allocation: %v",
 						filepath.Base(file), r, a.Name(), err)
 				}
 				checkNoSharing(t, filepath.Base(file), r, a.Name(), info, allocated, regOf)
@@ -104,7 +104,7 @@ func checkNoSharing(t *testing.T, file string, r int, allocName string,
 // TestAssignDeadPhiDef pins the tree-scan bug the differential harness
 // found (see testdata/deadphi.ir): a phi def with no use in its block and
 // not live-out must release its register after the block boundary instant.
-// Before the fix, Assign reported "no free register" here at R = MaxLive.
+// Before the fix, the scan reported "no free register" here at R = MaxLive.
 func TestAssignDeadPhiDef(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "ir", "testdata", "deadphi.ir"))
 	if err != nil {
@@ -115,9 +115,9 @@ func TestAssignDeadPhiDef(t *testing.T) {
 	if info.MaxLive != 2 {
 		t.Fatalf("MaxLive = %d, want 2 (reproducer drifted)", info.MaxLive)
 	}
-	regOf, err := Assign(f, info, allTrue(f.NumValues), 2)
+	regOf, err := assign(f, info, allTrue(f.NumValues), 2)
 	if err != nil {
-		t.Fatalf("Assign failed at R = MaxLive: %v", err)
+		t.Fatalf("assignment failed at R = MaxLive: %v", err)
 	}
 	if err := VerifyAssignment(info, allTrue(f.NumValues), regOf); err != nil {
 		t.Fatal(err)

@@ -8,6 +8,12 @@ import (
 	"repro/internal/liveness"
 )
 
+// assign runs the one-class tree-scan at r registers, unbudgeted and
+// unbiased.
+func assign(f *ir.Func, info *liveness.Info, allocated []bool, r int) ([]int, error) {
+	return AssignBiasedBudget(f, f.ComputeDominance(), info, allocated, r, nil, nil, nil)
+}
+
 func allTrue(n int) []bool {
 	out := make([]bool, n)
 	for i := range out {
@@ -26,7 +32,7 @@ b0:
   ret c
 }`)
 	info := liveness.Compute(f)
-	regOf, err := Assign(f, info, allTrue(f.NumValues), 2)
+	regOf, err := assign(f, info, allTrue(f.NumValues), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +54,10 @@ b0:
   ret r
 }`)
 	info := liveness.Compute(f)
-	if _, err := Assign(f, info, allTrue(f.NumValues), 2); err == nil {
+	if _, err := assign(f, info, allTrue(f.NumValues), 2); err == nil {
 		t.Fatal("assignment with MaxLive=3 and R=2 should fail")
 	}
-	if regOf, err := Assign(f, info, allTrue(f.NumValues), 3); err != nil {
+	if regOf, err := assign(f, info, allTrue(f.NumValues), 3); err != nil {
 		t.Fatal(err)
 	} else if err := VerifyAssignment(info, allTrue(f.NumValues), regOf); err != nil {
 		t.Fatal(err)
@@ -77,7 +83,7 @@ b3:
   ret r
 }`)
 	info := liveness.Compute(f)
-	regOf, err := Assign(f, info, allTrue(f.NumValues), 3)
+	regOf, err := assign(f, info, allTrue(f.NumValues), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +117,7 @@ b0:
 	// c's def; c until d. With b spilled, two allocated values overlap at
 	// most pairwise? a and c overlap (a unused after c? a used at c's def
 	// only) — choose 2 registers to be safe, then check b got no register.
-	regOf, err := Assign(f, info, allocated, 2)
+	regOf, err := assign(f, info, allocated, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +138,7 @@ b0:
   ret x
 }`)
 	info := liveness.Compute(f)
-	if _, err := Assign(f, info, allTrue(f.NumValues), 4); err == nil {
+	if _, err := assign(f, info, allTrue(f.NumValues), 4); err == nil {
 		t.Fatal("tree-scan on non-SSA accepted")
 	}
 }
@@ -314,7 +320,7 @@ b2:
 }`)
 	info := liveness.Compute(f)
 	allocated := allTrue(f.NumValues)
-	regOf, err := Assign(f, info, allocated, 3)
+	regOf, err := assign(f, info, allocated, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestDifferentialAcceptance(t *testing.T) {
 }
 
 // TestRegressionDeadPhiDef pins the first bug the differential harness
-// found: regassign.Assign never freed the register of a phi def with no
+// found: the tree-scan never freed the register of a phi def with no
 // use in its block and not live-out (dead on arrival), so a dead phi def
 // pinned a register for the whole block and the tree-scan ran out of
 // registers on perfectly valid ≤-R allocations. These exact seeds failed

@@ -153,21 +153,19 @@ func NewCostModel(loopBase, storeFactor float64) CostModel {
 
 // options collects the functional-option state of New.
 type options struct {
-	registers      int
-	allocator      string
-	costModel      CostModel
-	jobs           int
-	skipRewrite    bool
-	legacyIFG      bool
-	trustedCost    bool
-	noScratchReuse bool
-	cacheSize      int
-	sharedCache    *Cache
-	machine        string
-	constraints    *arch.Constraints
-	budget         Budget
-	degrade        bool
-	coalescing     CoalescePolicy
+	registers   int
+	allocator   string
+	costModel   CostModel
+	jobs        int
+	skipRewrite bool
+	trustedCost bool
+	cacheSize   int
+	sharedCache *Cache
+	machine     string
+	constraints *arch.Constraints
+	budget      Budget
+	degrade     bool
+	coalescing  CoalescePolicy
 }
 
 // Option configures an Engine (New).
@@ -209,19 +207,9 @@ func WithJobs(n int) Option { return func(o *options) { o.jobs = n } }
 // the engine reports allocation decisions (spill sets and costs) only.
 func WithoutRewrite() Option { return func(o *options) { o.skipRewrite = true } }
 
-// WithLegacyIFG forces the explicit interference-graph path even for
-// functions eligible for the IFG-free SSA fast path. Diagnostics and
-// differential testing only; results are identical either way.
-func WithLegacyIFG() Option { return func(o *options) { o.legacyIFG = true } }
-
 // WithTrustedCostModel skips cost-model validation at New; the caller
 // guarantees the model is well-formed.
 func WithTrustedCostModel() Option { return func(o *options) { o.trustedCost = true } }
-
-// WithoutScratchReuse gives every function a fresh analysis pipeline
-// instead of pooled per-worker scratch memory. Benchmark ablation only —
-// results are identical either way, just slower.
-func WithoutScratchReuse() Option { return func(o *options) { o.noScratchReuse = true } }
 
 // WithCache gives the engine a private content-addressed outcome cache
 // bounded to capacity entries (capacity ≥ 1). Every AllocateFunc /
@@ -254,8 +242,7 @@ func WithSharedCache(c *Cache) Option { return func(o *options) { o.sharedCache 
 // which values are allocated, never costs a spill, and CoalesceOff (the
 // default) is byte-identical to an engine without this option. Applies on
 // the IFG-free SSA fast path (including machine-constrained allocation,
-// where ABI pins seed the class hints); incompatible with WithLegacyIFG.
-// The per-function effect is reported in Outcome.Coalesce.
+// where ABI pins seed the class hints). The per-function effect is reported in Outcome.Coalesce.
 func WithCoalescing(p CoalescePolicy) Option { return func(o *options) { o.coalescing = p } }
 
 // WithBudget bounds every run's resources: a wall-clock deadline (per
@@ -337,19 +324,9 @@ func New(opt ...Option) (*Engine, error) {
 		if err := o.constraints.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: %w", raerr.ErrInvalidConfig, err)
 		}
-		if o.legacyIFG {
-			return nil, fmt.Errorf("%w: machine-constrained allocation has no explicit-graph path (drop WithLegacyIFG)",
-				raerr.ErrInvalidConfig)
-		}
 	}
-	if o.coalescing != CoalesceOff {
-		if !o.coalescing.Valid() {
-			return nil, fmt.Errorf("%w: unknown coalescing policy %d", raerr.ErrInvalidConfig, o.coalescing)
-		}
-		if o.legacyIFG {
-			return nil, fmt.Errorf("%w: coalescing-biased assignment requires the IFG-free fast path (drop WithLegacyIFG)",
-				raerr.ErrInvalidConfig)
-		}
+	if o.coalescing != CoalesceOff && !o.coalescing.Valid() {
+		return nil, fmt.Errorf("%w: unknown coalescing policy %d", raerr.ErrInvalidConfig, o.coalescing)
 	}
 	e := &Engine{opts: o}
 	e.pool.New = func() any { return e.newWorker() }
@@ -368,11 +345,10 @@ func New(opt ...Option) (*Engine, error) {
 // newWorker builds one pipeline instance under the engine's (already
 // validated) configuration.
 func (e *Engine) newWorker() *worker {
-	w := &worker{cfg: core.Config{
+	w := &worker{runner: core.NewRunner(), cfg: core.Config{
 		Registers:   e.opts.registers,
 		CostModel:   e.opts.costModel,
 		SkipRewrite: e.opts.skipRewrite,
-		LegacyIFG:   e.opts.legacyIFG,
 		Constraints: e.opts.constraints,
 		Coalescing:  e.opts.coalescing,
 		Budget:      e.opts.budget,
@@ -380,9 +356,6 @@ func (e *Engine) newWorker() *worker {
 		// New validated the model once for the engine's lifetime.
 		TrustedCostModel: true,
 	}}
-	if !e.opts.noScratchReuse {
-		w.runner = core.NewRunner()
-	}
 	if e.opts.allocator != "" {
 		a, err := alloc.NewByName(e.opts.allocator)
 		if err != nil {
@@ -436,15 +409,13 @@ func (e *Engine) AllocateFunc(ctx context.Context, f *irx.Func) (*Outcome, error
 // moduleConfig translates the engine options for the module pipeline.
 func (e *Engine) moduleConfig() pipeline.Config {
 	return pipeline.Config{
-		Registers:      e.opts.registers,
-		Allocator:      e.opts.allocator,
-		CostModel:      e.opts.costModel,
-		Constraints:    e.opts.constraints,
-		SkipRewrite:    e.opts.skipRewrite,
-		Jobs:           e.opts.jobs,
-		NoScratchReuse: e.opts.noScratchReuse,
-		LegacyIFG:      e.opts.legacyIFG,
-		Coalescing:     e.opts.coalescing,
+		Registers:   e.opts.registers,
+		Allocator:   e.opts.allocator,
+		CostModel:   e.opts.costModel,
+		Constraints: e.opts.constraints,
+		SkipRewrite: e.opts.skipRewrite,
+		Jobs:        e.opts.jobs,
+		Coalescing:  e.opts.coalescing,
 		// New validated the model (or the caller opted out with
 		// WithTrustedCostModel); don't re-validate per module run.
 		TrustedCostModel: true,

@@ -3,8 +3,6 @@ package workload_test
 import (
 	"context"
 	"errors"
-	"fmt"
-	"os"
 	"testing"
 
 	"repro/regalloc"
@@ -106,29 +104,5 @@ func TestGiantAdmissionGate(t *testing.T) {
 	}
 	if out.Degraded == nil || out.Degraded.Stage != "admission" {
 		t.Fatalf("expected an admission-stage degradation, got %+v", out.Degraded)
-	}
-}
-
-// BenchmarkGiantScaling measures governed allocation across function sizes
-// (values per op reported); run explicitly with -bench, and set
-// GIANT_BENCH_MAX=100000 for the largest size.
-func BenchmarkGiantScaling(b *testing.B) {
-	sizes := []int{1_000, 10_000}
-	if os.Getenv("GIANT_BENCH_MAX") == "100000" {
-		sizes = append(sizes, 100_000)
-	}
-	for _, n := range sizes {
-		f := workload.GenGiant("giant", 1, n, n/200+1)
-		eng, err := regalloc.New(regalloc.WithRegisters(8))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("values=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.AllocateFunc(context.Background(), f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

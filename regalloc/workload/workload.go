@@ -84,7 +84,7 @@ func GenGiant(name string, seed int64, values, blocks int) *irx.Func {
 // controlled duplication rate: each function after the first is, with
 // probability dupRate, an alpha-renamed copy of an earlier one. This is
 // the corpus shape of redundant JIT / compile-server traffic, and the
-// workload behind the outcome-cache benchmarks (BENCH_cache.json).
+// workload behind the outcome-cache benchmark (regbench's service-dup).
 func GenDuplicated(seed int64, n int, dupRate float64) *irx.Module {
 	return irgen.GenDuplicated(seed, n, dupRate)
 }

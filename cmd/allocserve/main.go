@@ -115,15 +115,17 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
+	// Catch the drain signals before announcing readiness: a signal sent as
+	// soon as the server is up must drain it, not kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	fmt.Fprintf(out, "allocserve: listening on %s (R=%d alloc=%s max-inflight=%d timeout=%v cache=%d)\n",
 		bound, *regs, defaultName(*allocName), *maxInFlight, *timeout, *cacheSize)
 	if ready != nil {
 		ready <- bound.String()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	select {
 	case err := <-done:
 		return err

@@ -30,7 +30,7 @@ package layered
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/cliques"
@@ -177,6 +177,7 @@ type scratch struct {
 	stamp              []int32 // clique path: vertex stamps for dynamic bias
 	stampGen           int32
 	frank              cliques.FrankScratch
+	st                 state
 }
 
 // state carries the candidate set and clique occupancy across layers.
@@ -196,7 +197,8 @@ func (a *Allocator) newState(p *Problem) *state {
 	scr.allocatedList = scr.allocatedList[:0]
 	scr.allocatedPerClique = resizeInts(scr.allocatedPerClique, len(p.LiveSets), 0)
 	scr.saturated = resizeBools(scr.saturated, len(p.LiveSets), false)
-	st := &state{p: p, cs: p.Cliques, scr: scr, remaining: n}
+	st := &scr.st
+	*st = state{p: p, cs: p.Cliques, scr: scr, remaining: n}
 	if st.cs != nil {
 		st.staticDeg = st.cs.Degrees()
 	} else {
@@ -496,8 +498,11 @@ func resizeFloats(s []float64, n int, fill float64) []float64 {
 
 // LH is the layered-heuristic allocator for general interference graphs
 // (paper Algorithms 5 and 6): cluster the vertices into greedy stable sets
-// by decreasing weight, then allocate the R heaviest clusters.
-type LH struct{}
+// by decreasing weight, then allocate the R heaviest clusters. Like the
+// chordal allocators it reuses its clustering memory across calls.
+type LH struct {
+	clusters stable.ClusterScratch
+}
 
 // NewLH returns the layered heuristic.
 func NewLH() *LH { return &LH{} }
@@ -506,19 +511,29 @@ func NewLH() *LH { return &LH{} }
 func (*LH) Name() string { return "LH" }
 
 // Allocate implements alloc.Allocator.
-func (*LH) Allocate(p *Problem) *alloc.Result {
+func (l *LH) Allocate(p *Problem) *alloc.Result {
 	g := p.Graph()
-	clusters := stable.ClusterVertices(g.Graph, g.Weight)
-	sort.SliceStable(clusters, func(i, j int) bool {
-		return stable.SetWeight(clusters[i], g.Weight) >
-			stable.SetWeight(clusters[j], g.Weight)
+	clusters := l.clusters.Cluster(g.Graph, g.Weight)
+	// Decreasing total weight; the stable sort keeps construction order
+	// among equal weights.
+	slices.SortStableFunc(clusters, func(a, b []int) int {
+		wa, wb := stable.SetWeight(a, g.Weight), stable.SetWeight(b, g.Weight)
+		switch {
+		case wa > wb:
+			return -1
+		case wa < wb:
+			return 1
+		}
+		return 0
 	})
 	if len(clusters) > p.R {
 		clusters = clusters[:p.R]
 	}
-	var allocated []int
+	res := &alloc.Result{Allocated: make([]bool, p.N()), Allocator: "LH"}
 	for _, c := range clusters {
-		allocated = append(allocated, c...)
+		for _, v := range c {
+			res.Allocated[v] = true
+		}
 	}
-	return alloc.NewResult(p.N(), allocated, "LH")
+	return res
 }

@@ -23,8 +23,9 @@ type registryEntry struct {
 
 var registry = struct {
 	sync.RWMutex
-	byKey map[string]registryEntry // key = lower-cased name
-}{byKey: make(map[string]registryEntry)}
+	byKey  map[string]registryEntry // key = lower-cased name
+	byName map[string]registryEntry // key = canonical spelling
+}{byKey: make(map[string]registryEntry), byName: make(map[string]registryEntry)}
 
 // RegisterAllocator adds a named allocator factory to the registry. Names
 // are case-insensitive ("bfpl" resolves BFPL); the canonical spelling is
@@ -47,7 +48,8 @@ func RegisterAllocator(name string, chordalOnly bool, factory func() Allocator) 
 		return fmt.Errorf("%w: allocator %q already registered (as %q)",
 			raerr.ErrInvalidConfig, name, prev.name)
 	}
-	registry.byKey[key] = registryEntry{name: name, chordalOnly: chordalOnly, factory: factory}
+	e := registryEntry{name: name, chordalOnly: chordalOnly, factory: factory}
+	registry.byKey[key], registry.byName[name] = e, e
 	return nil
 }
 
@@ -91,7 +93,13 @@ func RegisteredNames() []string {
 // core.Config rather than resolved by name.
 func ChordalOnly(name string) bool {
 	registry.RLock()
-	e, ok := registry.byKey[strings.ToLower(name)]
+	// Registered allocators report their canonical spelling, which the
+	// driver's per-function check finds without lower-casing (allocating)
+	// the name.
+	e, ok := registry.byName[name]
+	if !ok {
+		e, ok = registry.byKey[strings.ToLower(name)]
+	}
 	registry.RUnlock()
 	return ok && e.chordalOnly
 }

@@ -33,19 +33,21 @@ type VMove struct {
 // predecessor's frequency) and OpCopy instructions. Self-moves (dst == src)
 // carry no cost and are skipped.
 func MovesFromFunc(f *ir.Func, model spillcost.Model) []VMove {
-	return appendMoves(nil, f, model)
+	return appendMoves(nil, f, spillcost.BlockFrequencies(f, model))
 }
 
-// Moves is MovesFromFunc into the scratch's memory: the result is valid
-// until the next call.
-func (sc *BiasScratch) Moves(f *ir.Func, model spillcost.Model) []VMove {
-	sc.moves = appendMoves(sc.moves[:0], f, model)
+// Moves is MovesFromFunc into the scratch's memory, with block b at loop
+// depth depth[b] (nil: Block.LoopDepth); the result is valid until the next
+// call.
+func (sc *BiasScratch) Moves(f *ir.Func, model spillcost.Model, depth []int) []VMove {
+	sc.freqs = spillcost.FrequenciesAt(sc.freqs, f, model, depth)
+	sc.moves = appendMoves(sc.moves[:0], f, sc.freqs)
 	return sc.moves
 }
 
-// appendMoves appends the moves of f to out.
-func appendMoves(out []VMove, f *ir.Func, model spillcost.Model) []VMove {
-	freqs := spillcost.BlockFrequencies(f, model)
+// appendMoves appends the moves of f to out, charged at the block
+// frequencies freqs.
+func appendMoves(out []VMove, f *ir.Func, freqs []float64) []VMove {
 	add := func(dst, src int, cost float64) {
 		if dst < 0 || src < 0 || dst == src {
 			return
@@ -104,6 +106,7 @@ type BiasScratch struct {
 	neighbors []int32
 	epoch     uint32
 
+	freqs   []float64              // Moves: block frequencies
 	moves   []VMove                // Moves
 	sorted  []VMove                // moves by decreasing cost
 	byClass [ir.NumClasses][]VMove // constrained: sorted moves per register class

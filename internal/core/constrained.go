@@ -234,6 +234,7 @@ type constrainedScratch struct {
 	sub       [ir.NumClasses]cliques.Structure
 	weight    []float64
 	intervals [][2]int
+	prob      alloc.Problem
 	cand      []int // pass 3: one class's survivors of one call
 }
 
@@ -277,10 +278,11 @@ func (sc *constrainedScratch) classProblem(cs, sub *cliques.Structure, pFull *al
 		sc.weight[vx] = pFull.Weight[full]
 		sc.intervals[vx] = pFull.Intervals[full]
 	}
-	return &alloc.Problem{
+	sc.prob = alloc.Problem{
 		R: capacity, Weight: sc.weight, LiveSets: sub.Sets, Chordal: true, PEO: sub.PEO,
 		Name: cs.F.Name, Intervals: sc.intervals, Cliques: sub,
 	}
+	return &sc.prob
 }
 
 // checkMachineCompat rejects annotations the machine cannot express: a value

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -130,8 +131,10 @@ func TestConstrainedRunnerReuseMatchesFresh(t *testing.T) {
 	}
 	// Consecutive runs rotate machine (none included: the one-class case),
 	// R and policy, so the scratch grows, shrinks and changes class layout
-	// from one function to the next.
-	names := append(arch.Names(), "none")
+	// from one function to the next; "non-ssa" runs take the explicit-graph
+	// path (IFG + LH), whose interner, clustering and graph scratch the
+	// outcomes must not alias either.
+	names := append(arch.Names(), "none", "non-ssa")
 	policies := []coalesce.Policy{coalesce.Off, coalesce.Conservative, coalesce.Aggressive}
 	runs := make([]run, 400)
 	runner := core.NewRunner()
@@ -141,9 +144,13 @@ func TestConstrainedRunnerReuseMatchesFresh(t *testing.T) {
 		pol := policies[(i/(4*len(names)))%3]
 		cfg := core.Config{Registers: r, Coalescing: pol}
 		var f *ir.Func
-		if name == "none" {
+		switch name {
+		case "none":
 			f = irgen.FromSeed(int64(i))
-		} else {
+		case "non-ssa":
+			rng := rand.New(rand.NewSource(int64(i)))
+			f = irgen.Generate(fmt.Sprintf("var%d", i), rng.Int63(), irgen.RandomConfig(rng, false))
+		default:
 			m, err := arch.ByName(name)
 			if err != nil {
 				t.Fatal(err)

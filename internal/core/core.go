@@ -185,15 +185,22 @@ type Outcome struct {
 	BudgetSpent int64
 }
 
-// Runner executes the pipeline repeatedly, reusing the analysis scratch
-// memory (liveness bitsets, clique-structure transients, assignment and
-// rewrite scratch) across functions instead of reallocating it per call —
-// the batch pipeline gives each worker one Runner. Outcomes never reference
-// scratch memory, so they stay valid across subsequent Run calls; a Runner
-// is not safe for concurrent use.
+// Runner executes the pipeline repeatedly — the batch pipeline gives each
+// worker one. A warmed Runner's Run allocates only what the returned
+// Outcome keeps (problem, result, vertex maps, clique structure or graph,
+// register map, rewritten function): every table that dies with the call —
+// validation and dominance, loop depths, liveness and its Info, the
+// interners of the clique and graph builds, LH's clusters, the scan and its
+// verification, the rewrite's bookkeeping — lives on the Runner and is
+// recycled by the next call. Outcomes never reference that memory, so they
+// stay valid across subsequent Run calls. Run only reads its input
+// function, so one function may be allocated by several Runners at once; a
+// Runner itself is not safe for concurrent use.
 type Runner struct {
+	ir   ir.Scratch
 	live *liveness.Scratch
 	cs   *cliques.Scratch
+	ifg  *ifg.Scratch
 	ra   *regassign.Scratch
 	// Cached default allocators: layered allocators reuse their own
 	// internal scratch across calls, so the defaults are resolved once per
@@ -220,9 +227,12 @@ type Runner struct {
 // the stages produce them. It lives in the Runner and is overwritten by the
 // next call.
 type run struct {
-	f     *ir.Func
-	cfg   Config
-	dom   *ir.Dominance
+	f   *ir.Func
+	cfg Config
+	dom *ir.Dominance
+	// depth is the loop depth of every block of f: the run keeps its loop
+	// analysis to itself instead of writing it into the caller's blocks.
+	depth []int
 	m     *budget.Meter
 	info  *liveness.Info
 	cs    *cliques.Structure
@@ -242,6 +252,7 @@ func NewRunner() *Runner {
 	return &Runner{
 		live:           liveness.NewScratch(),
 		cs:             cliques.NewScratch(),
+		ifg:            ifg.NewScratch(),
 		ra:             regassign.NewScratch(),
 		defaultChordal: layered.BFPL(),
 		defaultGeneral: layered.NewLH(),
@@ -273,7 +284,7 @@ func (r *Runner) Run(f *ir.Func, cfg Config) (*Outcome, error) {
 			return nil, err
 		}
 	}
-	dom, err := f.ValidateAnalyzed()
+	dom, err := r.ir.ValidateAnalyzed(f)
 	if err != nil {
 		return nil, &raerr.FuncError{Func: f.Name, Stage: "validate",
 			Err: fmt.Errorf("invalid input function: %w", err)}
@@ -295,14 +306,14 @@ func (r *Runner) Run(f *ir.Func, cfg Config) (*Outcome, error) {
 	if be := cfg.Budget.Admit(f.NumValues, len(f.Blocks)); be != nil {
 		return r.fail(d, raerr.StageAdmission, be)
 	}
-	f.ComputeLoops(dom)
+	d.depth = r.ir.LoopDepths(f, dom)
 	d.m.SetStage(raerr.StageLiveness)
 	info, err := r.live.ComputeBudget(f, d.m)
 	if err != nil {
 		return r.fail(d, raerr.StageLiveness, err)
 	}
 	d.info = info
-	r.costs = spillcost.CostsInto(r.costs, f, cfg.CostModel)
+	r.costs = spillcost.CostsAt(r.costs, f, cfg.CostModel, d.depth)
 
 	// Interference analysis: clique structure straight from liveness for
 	// strict SSA (the fast path), explicit graph otherwise.
@@ -326,7 +337,7 @@ func (r *Runner) Run(f *ir.Func, cfg Config) (*Outcome, error) {
 		if !d.m.CheckNow() {
 			return r.fail(d, raerr.StageCliques, d.m.Err())
 		}
-		d.build = ifg.FromLiveness(info)
+		d.build = r.ifg.FromLiveness(info)
 		d.p = alloc.BuildProblem(alloc.Spec{Build: d.build, Costs: r.costs, R: cfg.Registers, Dom: dom})
 		d.p.Intervals = linearscan.BuildIntervals(info, d.build)
 		d.vertexOf, d.valueOf = d.build.VertexOf, d.build.ValueOf
@@ -454,17 +465,31 @@ func (r *Runner) finish(d *run, res *alloc.Result, meter *budget.Meter, degraded
 	for _, v := range out.SpilledValues {
 		r.spilledVals[v] = true
 	}
-	out.Rewritten = regassign.InsertSpillCode(f, r.spilledVals)
-	if len(out.SpilledValues) > 0 {
-		// With no spills the rewrite is a plain clone of the function
-		// validated above; re-validating it would just recompute
-		// dominance for nothing.
-		if err := out.Rewritten.Validate(); err != nil {
-			return nil, &raerr.FuncError{Func: f.Name, Stage: "rewrite",
-				Err: fmt.Errorf("spill-code rewrite broke the function: %w", err)}
-		}
+	var err error
+	if out.Rewritten, err = r.rewrite(d, r.spilledVals, len(out.SpilledValues) > 0, "spill-code"); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// rewrite inserts the spill code of the values flagged in spilled into a
+// copy of the run's function, which takes the run's loop depths. With check
+// set (some value spilled) the copy is validated against the input's
+// dominance tree — the rewrite keeps the control flow, which the check
+// confirms before reusing the tree; with no spills the copy is the input
+// function validated already. what names the rewrite in the error.
+func (r *Runner) rewrite(d *run, spilled []bool, check bool, what string) (*ir.Func, error) {
+	g := r.ra.InsertSpillCode(d.f, spilled)
+	for i, b := range g.Blocks {
+		b.LoopDepth = d.depth[i]
+	}
+	if check {
+		if err := r.ir.ValidateRewrite(g, d.f, d.dom); err != nil {
+			return nil, &raerr.FuncError{Func: d.f.Name, Stage: "rewrite",
+				Err: fmt.Errorf("%s rewrite broke the function: %w", what, err)}
+		}
+	}
+	return g, nil
 }
 
 // assign runs the tree-scan over the values res allocates and verifies the
@@ -493,7 +518,7 @@ func (r *Runner) assign(d *run, res *alloc.Result, meter *budget.Meter, biased b
 	var aff *coalesce.Affinity
 	coalescing := cfg.Coalescing != coalesce.Off && d.cs != nil && biased
 	if coalescing {
-		moves = r.bias.Moves(f, cfg.CostModel)
+		moves = r.bias.Moves(f, cfg.CostModel, d.depth)
 		if len(moves) > 0 {
 			if machine {
 				// Per register class against the class capacity: endpoints
@@ -540,7 +565,7 @@ func (r *Runner) assign(d *run, res *alloc.Result, meter *budget.Meter, biased b
 		allocated[stuck.Val] = false
 		res.Allocated[d.vertexOf[stuck.Val]] = false
 	}
-	if err := regassign.Verify(d.info, allocated, regOf, d.rc, d.spans); err != nil {
+	if err := r.ra.Verify(d.info, allocated, regOf, d.rc, d.spans); err != nil {
 		return nil, nil, &raerr.FuncError{Func: f.Name, Stage: "assign",
 			Err: fmt.Errorf("assignment verification failed: %w", err)}
 	}
@@ -654,8 +679,10 @@ func (r *Runner) spillAll(d *run, trip *raerr.BudgetError) (*Outcome, error) {
 			valueOf = append(valueOf, v)
 		}
 	}
-	f.ComputeLoops(d.dom)
-	costs := spillcost.Costs(f, cfg.CostModel)
+	if d.depth == nil { // an admission trip precedes the loop analysis
+		d.depth = r.ir.LoopDepths(f, d.dom)
+	}
+	costs := spillcost.CostsAt(nil, f, cfg.CostModel, d.depth)
 	w := make([]float64, len(valueOf))
 	for vx, val := range valueOf {
 		w[vx] = costs[val]
@@ -686,12 +713,9 @@ func (r *Runner) spillAll(d *run, trip *raerr.BudgetError) (*Outcome, error) {
 			regOf[i] = regassign.NoReg
 		}
 		out.RegisterOf = regOf
-		out.Rewritten = regassign.InsertSpillCode(f, occurs)
-		if len(valueOf) > 0 {
-			if err := out.Rewritten.Validate(); err != nil {
-				return nil, &raerr.FuncError{Func: f.Name, Stage: "rewrite",
-					Err: fmt.Errorf("spill-all rewrite broke the function: %w", err)}
-			}
+		var err error
+		if out.Rewritten, err = r.rewrite(d, occurs, len(valueOf) > 0, "spill-all"); err != nil {
+			return nil, err
 		}
 	}
 	out.BudgetSpent = d.m.Spent()

@@ -16,12 +16,14 @@ func (g *Graph) PerfectEliminationOrder() []int {
 	// The bucket queue is a set of intrusive doubly-linked lists, one per
 	// weight, over three flat arrays — no per-bucket slice churn, O(1)
 	// promotion of a vertex to the next weight. Ascending neighbor visits
-	// plus deterministic list surgery keep the order reproducible.
-	weight := make([]int, n)
-	visited := make([]bool, n)
-	head := make([]int, n+1) // head[w]: first vertex of the weight-w list
-	next := make([]int, n)
-	prev := make([]int, n)
+	// plus deterministic list surgery keep the order reproducible. The
+	// arrays and the visit order share one slab; a visited vertex has
+	// weight -1.
+	slab := make([]int, 5*n+1)
+	weight := slab[:n:n]
+	head := slab[n : 2*n+1 : 2*n+1] // head[w]: first vertex of the weight-w list
+	next := slab[2*n+1 : 3*n+1 : 3*n+1]
+	prev := slab[3*n+1 : 4*n+1 : 4*n+1]
 	for i := range head {
 		head[i] = -1
 	}
@@ -45,17 +47,17 @@ func (g *Graph) PerfectEliminationOrder() []int {
 		}
 	}
 	maxW := 0
-	reverse := make([]int, 0, n)
+	reverse := slab[4*n+1 : 4*n+1 : 5*n+1]
 	for len(reverse) < n {
 		for maxW > 0 && head[maxW] == -1 {
 			maxW--
 		}
 		v := head[maxW]
 		unlink(v)
-		visited[v] = true
+		weight[v] = -1
 		reverse = append(reverse, v)
 		g.VisitNeighbors(v, func(u int) {
-			if visited[u] {
+			if weight[u] < 0 {
 				return
 			}
 			unlink(u)

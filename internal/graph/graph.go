@@ -127,15 +127,27 @@ func (g *Graph) AddClique(vs []int) {
 		return
 	}
 	mask := bitset.Get(g.n)
+	g.AddCliqueMask(vs, *mask)
+	bitset.Put(mask)
+}
+
+// AddCliqueMask is AddClique with the caller's scratch set mask, which must
+// be empty and span the vertices; it is left empty again.
+func (g *Graph) AddCliqueMask(vs []int, mask bitset.Set) {
+	if len(vs) < 2 {
+		return
+	}
 	for _, v := range vs {
 		g.check(v)
 		mask.Add(v)
 	}
 	for _, v := range vs {
-		g.adj[v].Or(*mask)
+		g.adj[v].Or(mask)
 		g.adj[v].Remove(v) // no self-loops
 	}
-	bitset.Put(mask)
+	for _, v := range vs {
+		mask.Remove(v)
+	}
 	g.dirty()
 }
 

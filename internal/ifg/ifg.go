@@ -10,6 +10,7 @@
 package ifg
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -40,6 +41,20 @@ func FromFunc(f *ir.Func) *Build {
 	return FromLiveness(liveness.Compute(f))
 }
 
+// Scratch recycles the transient memory of FromLiveness across functions:
+// the value bitsets, the live-set interner and the translation buffers. The
+// Builds it returns never alias it and stay valid indefinitely; a Scratch is
+// not safe for concurrent use.
+type Scratch struct {
+	arena   bitset.Arena
+	intern  *bitset.Interner
+	vsBuf   []int
+	phiDefs []int
+}
+
+// NewScratch returns an empty reusable scratch.
+func NewScratch() *Scratch { return &Scratch{intern: bitset.NewInterner(64)} }
+
 // FromLiveness builds the interference graph from precomputed liveness.
 //
 // Vertices are created for every value that is defined or live anywhere.
@@ -48,7 +63,14 @@ func FromFunc(f *ir.Func) *Build {
 // clique edges for every program-point live set so that the graph is
 // exactly the intersection graph of live ranges.
 func FromLiveness(info *liveness.Info) *Build {
+	return NewScratch().FromLiveness(info)
+}
+
+// FromLiveness is the package-level FromLiveness on the scratch's memory.
+func (s *Scratch) FromLiveness(info *liveness.Info) *Build {
 	f := info.F
+	s.arena.Reset()
+	s.intern.Reset()
 	b := &Build{
 		F:        f,
 		VertexOf: make([]int, f.NumValues),
@@ -57,7 +79,7 @@ func FromLiveness(info *liveness.Info) *Build {
 	for i := range b.VertexOf {
 		b.VertexOf[i] = -1
 	}
-	present := bitset.New(f.NumValues)
+	present := s.arena.Set(f.NumValues)
 	mark := func(v int) {
 		if v >= 0 && v < f.NumValues {
 			present.Add(v)
@@ -78,10 +100,10 @@ func FromLiveness(info *liveness.Info) *Build {
 			mark(v)
 		}
 	}
-	present.ForEach(func(v int) {
-		b.VertexOf[v] = len(b.ValueOf)
-		b.ValueOf = append(b.ValueOf, v)
-	})
+	b.ValueOf = present.AppendTo(make([]int, 0, present.Count()))
+	for vx, v := range b.ValueOf {
+		b.VertexOf[v] = vx
+	}
 	b.Graph = graph.New(len(b.ValueOf))
 
 	// Every program-point live set is a set of simultaneously live values:
@@ -90,27 +112,40 @@ func FromLiveness(info *liveness.Info) *Build {
 	// below. Each point is translated into a reusable scratch slice and
 	// deduplicated through the interner (no string fingerprints, no
 	// allocation for duplicate points).
-	intern := bitset.NewInterner(len(info.Points))
-	var vsBuf []int
+	intern := s.intern
+	mask := s.arena.Set(len(b.ValueOf))
 	for _, p := range info.Points {
 		if len(p.Live) < 1 {
 			continue
 		}
-		vsBuf = vsBuf[:0]
+		vs := s.vsBuf[:0]
 		for _, v := range p.Live {
-			vsBuf = append(vsBuf, b.VertexOf[v])
+			vs = append(vs, b.VertexOf[v])
 		}
-		if idx, added := intern.Intern(vsBuf); added {
-			b.Graph.AddClique(intern.Sets()[idx])
+		s.vsBuf = vs
+		if idx, added := intern.Intern(vs); added {
+			b.Graph.AddCliqueMask(intern.Sets()[idx], mask)
 		}
 	}
-	b.LiveSets = intern.Sets()
+	// Copy the interned sets out into one exact-size retained slab (the
+	// interner's storage is scratch and will be recycled).
+	interned := intern.Sets()
+	total := 0
+	for _, set := range interned {
+		total += len(set)
+	}
+	slab := make([]int, 0, total)
+	b.LiveSets = make([][]int, len(interned))
+	for i, set := range interned {
+		start := len(slab)
+		slab = append(slab, set...)
+		b.LiveSets[i] = slab[start:len(slab):len(slab)]
+	}
 
 	// Def-vs-live edges for dead or immediately-dead definitions: walk each
 	// block backward like the liveness point computation and connect each
 	// def to everything live after it.
-	liveAfterScratch := bitset.Get(f.NumValues)
-	liveAfter := *liveAfterScratch
+	liveAfter := s.arena.Set(f.NumValues)
 	for _, blk := range f.Blocks {
 		liveAfter.Clear()
 		for _, v := range info.LiveOut[blk.ID] {
@@ -136,29 +171,26 @@ func FromLiveness(info *liveness.Info) *Build {
 		}
 		// Phi defs all occupy registers simultaneously at the block
 		// boundary and against the block's live-in set.
-		var phiDefs []int
+		phiDefs := s.phiDefs[:0]
 		for _, ins := range blk.Instrs {
 			if ins.Op == ir.OpPhi {
 				phiDefs = append(phiDefs, ins.Def)
 			}
 		}
-		if len(phiDefs) > 0 {
-			for i := 0; i < len(phiDefs); i++ {
-				for j := i + 1; j < len(phiDefs); j++ {
-					b.Graph.AddEdge(b.VertexOf[phiDefs[i]], b.VertexOf[phiDefs[j]])
-				}
-				for _, u := range info.LiveIn[blk.ID] {
-					if u != phiDefs[i] {
-						b.Graph.AddEdge(b.VertexOf[phiDefs[i]], b.VertexOf[u])
-					}
+		s.phiDefs = phiDefs
+		for i := 0; i < len(phiDefs); i++ {
+			for j := i + 1; j < len(phiDefs); j++ {
+				b.Graph.AddEdge(b.VertexOf[phiDefs[i]], b.VertexOf[phiDefs[j]])
+			}
+			for _, u := range info.LiveIn[blk.ID] {
+				if u != phiDefs[i] {
+					b.Graph.AddEdge(b.VertexOf[phiDefs[i]], b.VertexOf[u])
 				}
 			}
 		}
 	}
-	bitset.Put(liveAfterScratch)
-	sort.Slice(b.LiveSets, func(i, j int) bool {
-		return lessIntSlice(b.LiveSets[i], b.LiveSets[j])
-	})
+	// The interned sets are distinct, so any sort yields the same order.
+	slices.SortFunc(b.LiveSets, slices.Compare[[]int])
 	b.Graph.Freeze()
 	return b
 }
@@ -172,13 +204,4 @@ func (b *Build) Names(vertices []int) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func lessIntSlice(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -18,18 +18,45 @@ type Dominance struct {
 	Postorder []int
 }
 
+// Scratch is reusable memory for validating functions and analysing their
+// dominance and loops. A driver that validates thousands of functions runs
+// them all through one Scratch instead of reallocating the dominance,
+// definition and loop tables per function. The Dominance and loop depths a
+// Scratch returns are valid until its next call; the package-level
+// Validate, ValidateAnalyzed, ComputeDominance and ComputeLoops use a
+// private Scratch each, so their results stay valid indefinitely. A Scratch
+// is not safe for concurrent use.
+type Scratch struct {
+	dom Dominance
+	// Dominance: Idom, Order, Postorder and the DFS stack share ints; the
+	// children lists are windows of kids.
+	ints, counts, kids []int
+	visited            []bool
+	// validateSSA's value-indexed definition tables.
+	defSite  []DefSite
+	defCount []int32
+	// Loops: per-block depth, header flags and membership, the worklist.
+	depth            []int
+	isHeader, inLoop []bool
+	stack, headers   []int
+}
+
 // ComputeDominance builds dominance information for f. All integer arrays
 // (Idom, Order, Postorder, the DFS worklist) are carved from one backing
 // slab, and Children sub-slices a second one, so a call costs a handful of
 // allocations regardless of block count.
 func (f *Func) ComputeDominance() *Dominance {
+	return new(Scratch).dominance(f)
+}
+
+// dominance is ComputeDominance on the scratch's memory.
+func (s *Scratch) dominance(f *Func) *Dominance {
 	n := len(f.Blocks)
-	slab := make([]int, 4*n)
-	d := &Dominance{
-		Idom:     slab[0:n:n],
-		Order:    slab[n : 2*n : 2*n],
-		Children: make([][]int, n),
-	}
+	s.ints = grow(s.ints, 4*n)
+	slab := s.ints
+	d := &s.dom
+	d.Idom = slab[0:n:n]
+	d.Order = slab[n : 2*n : 2*n]
 	for i := range d.Idom {
 		d.Idom[i] = -1
 		d.Order[i] = -1
@@ -47,7 +74,9 @@ func (f *Func) ComputeDominance() *Dominance {
 	}
 	post := slab[2*n : 2*n : 3*n]
 	stack := slab[3*n : 3*n : 4*n]
-	visited := make([]bool, n)
+	s.visited = grow(s.visited, n)
+	visited := s.visited
+	clear(visited)
 	push := func(b int) { stack = append(stack, b*mod) }
 	push(0)
 	visited[0] = true
@@ -57,9 +86,9 @@ func (f *Func) ComputeDominance() *Dominance {
 		succs := f.Blocks[block].Succs
 		if next < len(succs) {
 			stack[len(stack)-1]++
-			if s := succs[next]; !visited[s] {
-				visited[s] = true
-				push(s)
+			if succ := succs[next]; !visited[succ] {
+				visited[succ] = true
+				push(succ)
 			}
 			continue
 		}
@@ -99,7 +128,9 @@ func (f *Func) ComputeDominance() *Dominance {
 	}
 	d.Idom[0] = -1 // restore the usual convention for the entry
 	// Children in reverse postorder, carved from one slab.
-	counts := make([]int, n+1)
+	s.counts = grow(s.counts, n+1)
+	counts := s.counts
+	clear(counts)
 	for _, b := range post {
 		if b != 0 {
 			if p := d.Idom[b]; p >= 0 {
@@ -110,7 +141,8 @@ func (f *Func) ComputeDominance() *Dominance {
 	for i := 0; i < n; i++ {
 		counts[i+1] += counts[i]
 	}
-	kids := make([]int, counts[n])
+	s.kids = grow(s.kids, counts[n])
+	kids := s.kids
 	fill := counts // prefix sums double as fill cursors
 	for i := len(post) - 1; i >= 0; i-- {
 		b := post[i]
@@ -122,6 +154,7 @@ func (f *Func) ComputeDominance() *Dominance {
 			fill[p]++
 		}
 	}
+	d.Children = grow(d.Children, n)
 	off := 0
 	for p := 0; p < n; p++ {
 		end := fill[p]
@@ -129,6 +162,15 @@ func (f *Func) ComputeDominance() *Dominance {
 		off = end
 	}
 	return d
+}
+
+// grow returns s with length n, reusing its memory when large enough; the
+// contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (d *Dominance) intersect(a, b int) int {
@@ -165,35 +207,57 @@ func (d *Dominance) Dominates(a, b int) bool {
 // through h belong to h's loop. Depth is the number of distinct loop headers
 // whose loop contains the block. It returns the set of loop headers.
 func (f *Func) ComputeLoops(dom *Dominance) []int {
-	n := len(f.Blocks)
-	for _, b := range f.Blocks {
-		b.LoopDepth = 0
+	var s Scratch
+	depth, headers := s.loops(f, dom)
+	for i, b := range f.Blocks {
+		b.LoopDepth = depth[i]
 	}
-	var headers []int
-	isHeader := make([]bool, n)
+	return headers
+}
+
+// LoopDepths returns the natural-loop nesting depth of every block of f, as
+// ComputeLoops would store it, without writing to f: a driver allocating a
+// caller's function keeps its analyses to itself. The slice is valid until
+// the scratch computes loops again.
+func (s *Scratch) LoopDepths(f *Func, dom *Dominance) []int {
+	depth, _ := s.loops(f, dom)
+	return depth
+}
+
+// loops computes the block loop depths into the scratch and returns them
+// with the loop headers (nil when f has no loop), in discovery order.
+func (s *Scratch) loops(f *Func, dom *Dominance) (depth, headers []int) {
+	n := len(f.Blocks)
+	s.depth = grow(s.depth, n)
+	depth = s.depth
+	clear(depth)
+	s.isHeader = grow(s.isHeader, n)
+	isHeader := s.isHeader
+	clear(isHeader)
+	headers = s.headers[:0]
 	for _, b := range f.Blocks {
-		for _, s := range b.Succs {
-			if dom.Dominates(s, b.ID) && !isHeader[s] {
-				isHeader[s] = true
-				headers = append(headers, s)
+		for _, h := range b.Succs {
+			if dom.Dominates(h, b.ID) && !isHeader[h] {
+				isHeader[h] = true
+				headers = append(headers, h)
 			}
 		}
 	}
+	s.headers = headers
 	if len(headers) == 0 {
-		return nil
+		return depth, nil
 	}
 	// One membership sweep per header: the union of the natural loops of
-	// its back edges, bumping LoopDepth of every member.
-	inLoop := make([]bool, n)
-	stack := make([]int, 0, n)
+	// its back edges, bumping the depth of every member.
+	s.inLoop = grow(s.inLoop, n)
+	inLoop := s.inLoop
+	stack := s.stack[:0]
 	for _, h := range headers {
-		for i := range inLoop {
-			inLoop[i] = false
-		}
+		clear(inLoop)
 		inLoop[h] = true
 		for _, b := range f.Blocks {
-			for _, s := range b.Succs {
-				if s != h || !dom.Dominates(h, b.ID) {
+			for _, succ := range b.Succs {
+				if succ != h || !dom.Dominates(h, b.ID) {
 					continue
 				}
 				// Collect the natural loop of back edge b→h.
@@ -213,11 +277,12 @@ func (f *Func) ComputeLoops(dom *Dominance) []int {
 				}
 			}
 		}
-		for _, b := range f.Blocks {
-			if inLoop[b.ID] {
-				b.LoopDepth++
+		for b, in := range inLoop {
+			if in {
+				depth[b]++
 			}
 		}
 	}
-	return headers
+	s.stack = stack
+	return depth, headers
 }

@@ -231,7 +231,17 @@ func (f *Func) NameOf(v int) string {
 	if n, ok := f.ValueName[v]; ok {
 		return n
 	}
-	return "v" + strconv.Itoa(v)
+	var buf [24]byte
+	return string(f.AppendName(buf[:0], v))
+}
+
+// AppendName appends the printable name of value v (see NameOf) to dst, so
+// a name can be extended without building it twice.
+func (f *Func) AppendName(dst []byte, v int) []byte {
+	if n, ok := f.ValueName[v]; ok {
+		return append(dst, n...)
+	}
+	return strconv.AppendInt(append(dst, 'v'), int64(v), 10)
 }
 
 // ClassOf returns the register class of value v (ClassGPR by default).

@@ -1,8 +1,11 @@
 package ir
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/raerr"
 )
 
 // diamond builds the CFG
@@ -326,5 +329,49 @@ b0:
 	}
 	if n := len(f.Blocks[0].Instrs[3].Uses); n != 0 {
 		t.Errorf("nullary call arity = %d", n)
+	}
+}
+
+// TestValidateRewrite checks that validating a rewrite against its input's
+// dominance tree is exactly as strict as validating it from scratch: a
+// same-CFG rewrite is checked against the input's tree, and a rewrite that
+// changed the CFG — here an added edge b0→b2 that stops b1 from dominating
+// a use in b2 — is not judged by the stale tree.
+func TestValidateRewrite(t *testing.T) {
+	f := MustParse(`
+func f ssa {
+b0:
+  c = param 0
+  br b1
+b1:
+  y = arith c, c
+  br b2
+b2:
+  z = arith y, y
+  ret z
+}`)
+	var s Scratch
+	dom, err := s.ValidateAnalyzed(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ValidateRewrite(f.Clone(), f, dom); err != nil {
+		t.Fatalf("unchanged rewrite rejected: %v", err)
+	}
+	undominated := f.Clone() // same CFG, z uses itself
+	undominated.Blocks[2].Instrs[0].Uses[0] = undominated.Blocks[2].Instrs[0].Def
+	if err := s.ValidateRewrite(undominated, f, dom); err == nil || !errors.Is(err, raerr.ErrNotSSA) {
+		t.Fatalf("same-CFG SSA violation not caught: %v", err)
+	}
+	rerouted := f.Clone()
+	b0 := rerouted.Blocks[0]
+	b0.Instrs[1] = Instr{Op: OpCondBr, Def: NoValue, Uses: []int{b0.Instrs[0].Def}, Targets: []int{1, 2}}
+	b0.Succs = []int{1, 2}
+	rerouted.Blocks[2].Preds = []int{1, 0}
+	if err := s.ValidateRewrite(rerouted, f, dom); err == nil || !strings.Contains(err.Error(), "not dominated") {
+		t.Fatalf("rewrite with a changed CFG judged by the input's dominance: %v", err)
+	}
+	if want := rerouted.Validate(); want == nil {
+		t.Fatal("rerouted function unexpectedly valid")
 	}
 }

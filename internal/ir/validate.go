@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/raerr"
 )
@@ -20,12 +21,77 @@ func (f *Func) Validate() error {
 // so pipeline drivers validating every input anyway don't compute dominance
 // twice per function.
 func (f *Func) ValidateAnalyzed() (*Dominance, error) {
+	return new(Scratch).ValidateAnalyzed(f)
+}
+
+// ValidateAnalyzed is the package-level ValidateAnalyzed on the scratch's
+// memory: the returned dominance tree is valid until the scratch's next
+// call.
+func (s *Scratch) ValidateAnalyzed(f *Func) (*Dominance, error) {
+	if err := f.checkStructure(); err != nil {
+		return nil, err
+	}
+	// The structure is sound, so dominance is computable.
+	dom := s.dominance(f)
+	return dom, s.checkSSA(f, dom)
+}
+
+// ValidateRewrite validates g, a rewrite of f that keeps f's control flow
+// (the spill-code rewrite only inserts instructions inside blocks), as
+// thoroughly as Validate would. Dominance depends on the block count and
+// the predecessor and successor lists alone, so when those of g equal f's,
+// g's strict-SSA form is checked against dom — f's dominance tree — instead
+// of a recomputed one; any other g is validated from scratch.
+func (s *Scratch) ValidateRewrite(g, f *Func, dom *Dominance) error {
+	if !sameCFG(g, f) {
+		_, err := new(Scratch).ValidateAnalyzed(g)
+		return err
+	}
+	if err := g.checkStructure(); err != nil {
+		return err
+	}
+	return s.checkSSA(g, dom)
+}
+
+// sameCFG reports whether g and f have the same blocks, predecessor lists
+// and successor lists.
+func sameCFG(g, f *Func) bool {
+	if len(g.Blocks) != len(f.Blocks) {
+		return false
+	}
+	for i, b := range g.Blocks {
+		fb := f.Blocks[i]
+		if !slices.Equal(b.Preds, fb.Preds) || !slices.Equal(b.Succs, fb.Succs) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSSA validates the strict-SSA claim of f, if it makes one, against
+// its dominance tree dom.
+func (s *Scratch) checkSSA(f *Func, dom *Dominance) error {
+	if !f.SSA {
+		return nil
+	}
+	if err := s.validateSSA(f, dom); err != nil {
+		// Tag SSA-form violations so clients can dispatch on them with
+		// errors.Is(err, raerr.ErrNotSSA) across the whole stack.
+		return errors.Join(fmt.Errorf("%w: %w", raerr.ErrNotSSA, err))
+	}
+	return nil
+}
+
+// checkStructure reports every structural violation of f, joined: block
+// numbering, terminators, phi placement and arity, def/use ranges, clobbers,
+// CFG edge consistency, class and pre-color annotations.
+func (f *Func) checkStructure() error {
 	var errs []error
 	report := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
 	if len(f.Blocks) == 0 {
-		return nil, errors.New("ir: function has no blocks")
+		return errors.New("ir: function has no blocks")
 	}
 	for i, b := range f.Blocks {
 		if b.ID != i {
@@ -128,28 +194,18 @@ func (f *Func) ValidateAnalyzed() (*Dominance, error) {
 				f.NameOf(v), f.ClassOf(v), RegName(ref), RegClassOf(ref))
 		}
 	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	// The structure is sound, so dominance is computable.
-	dom := f.ComputeDominance()
-	if f.SSA {
-		if err := f.validateSSA(dom); err != nil {
-			// Tag SSA-form violations so clients can dispatch on them with
-			// errors.Is(err, raerr.ErrNotSSA) across the whole stack.
-			errs = append(errs, fmt.Errorf("%w: %w", raerr.ErrNotSSA, err))
-		}
-	}
-	return dom, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
-func (f *Func) validateSSA(dom *Dominance) error {
+func (s *Scratch) validateSSA(f *Func, dom *Dominance) error {
 	var errs []error
 	// Inline single-definition bookkeeping (Defs would allocate per-value
 	// site lists; this is the per-function hot path of the batch pipeline).
-	defSite := make([]DefSite, f.NumValues)
-	defCount := make([]int32, f.NumValues)
-	defined := make([]bool, f.NumValues)
+	// A value is defined when it has exactly one definition.
+	s.defSite = grow(s.defSite, f.NumValues)
+	s.defCount = grow(s.defCount, f.NumValues)
+	defSite, defCount := s.defSite, s.defCount
+	clear(defCount)
 	for _, b := range f.Blocks {
 		for i, ins := range b.Instrs {
 			if !ins.Op.HasDef() || ins.Def == NoValue {
@@ -162,13 +218,11 @@ func (f *Func) validateSSA(dom *Dominance) error {
 		}
 	}
 	for v, c := range defCount {
-		switch {
-		case c == 1:
-			defined[v] = true
-		case c > 1:
+		if c > 1 {
 			errs = append(errs, fmt.Errorf("ir: value %s defined %d times", f.NameOf(v), c))
 		}
 	}
+	defined := func(v int) bool { return defCount[v] == 1 }
 	dominatesUse := func(v int, useBlock, useIndex int) bool {
 		ds := defSite[v]
 		if ds.Block == useBlock {
@@ -183,7 +237,7 @@ func (f *Func) validateSSA(dom *Dominance) error {
 		for i, ins := range b.Instrs {
 			if ins.Op == OpPhi {
 				for k, u := range ins.Uses {
-					if !defined[u] {
+					if !defined(u) {
 						errs = append(errs, fmt.Errorf("ir: phi in %s uses undefined %s", b.Name, f.NameOf(u)))
 						continue
 					}
@@ -201,7 +255,7 @@ func (f *Func) validateSSA(dom *Dominance) error {
 				continue
 			}
 			for _, u := range ins.Uses {
-				if !defined[u] {
+				if !defined(u) {
 					errs = append(errs, fmt.Errorf("ir: %s in %s uses undefined %s", ins.Op, b.Name, f.NameOf(u)))
 					continue
 				}

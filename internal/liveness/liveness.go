@@ -71,13 +71,13 @@ type blockSets struct {
 // and run thousands of functions through it.
 //
 // The lifetime contract is strict: an Info returned by (*Scratch).Compute —
-// including every []int inside LiveIn, LiveOut and Points — is valid only
-// until the next Compute call on the same Scratch. Callers that retain
-// liveness results across functions must use the package-level Compute.
-// A Scratch is not safe for concurrent use.
+// the Info itself and every slice inside it — is valid only until the next
+// Compute call on the same Scratch. Callers that retain liveness results
+// across functions must use the package-level Compute. A Scratch is not
+// safe for concurrent use.
 type Scratch struct {
-	arena  bitset.Arena
-	points []Point
+	arena bitset.Arena
+	info  Info
 }
 
 // NewScratch returns an empty reusable scratch.
@@ -96,37 +96,53 @@ func (s *Scratch) Compute(f *ir.Func) *Info {
 // meter's typed error); a nil meter never trips.
 func (s *Scratch) ComputeBudget(f *ir.Func, m *budget.Meter) (*Info, error) {
 	s.arena.Reset()
-	info := compute(f, &s.arena, s.points[:0], m)
-	if info == nil {
+	// The Info and its LiveIn/LiveOut/Points headers are recycled too.
+	n := len(f.Blocks)
+	info := &s.info
+	*info = Info{
+		LiveIn:  resize(info.LiveIn, n),
+		LiveOut: resize(info.LiveOut, n),
+		Points:  info.Points[:0],
+	}
+	if !compute(f, &s.arena, info, m) {
 		return nil, m.Err()
 	}
-	s.points = info.Points
 	return info, nil
 }
 
 // Compute runs the analysis with a private arena; the result does not alias
 // any shared memory and stays valid indefinitely.
 func Compute(f *ir.Func) *Info {
-	return compute(f, new(bitset.Arena), nil, nil)
+	info, _ := ComputeBudget(f, nil)
+	return info
 }
 
 // ComputeBudget is the budget-governed form of the package-level Compute.
 func ComputeBudget(f *ir.Func, m *budget.Meter) (*Info, error) {
-	info := compute(f, new(bitset.Arena), nil, m)
-	if info == nil {
+	n := len(f.Blocks)
+	info := &Info{LiveIn: make([][]int, n), LiveOut: make([][]int, n)}
+	if !compute(f, new(bitset.Arena), info, m) {
 		return nil, m.Err()
 	}
 	return info, nil
 }
 
-func compute(f *ir.Func, arena *bitset.Arena, ptsBuf []Point, meter *budget.Meter) *Info {
+// resize returns s with length n, reusing its memory when large enough; the
+// contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// compute fills info, whose LiveIn and LiveOut have one entry per block,
+// carving every set from arena. It reports false when the budget meter
+// trips, leaving info partial.
+func compute(f *ir.Func, arena *bitset.Arena, info *Info, meter *budget.Meter) bool {
 	n := len(f.Blocks)
 	nv := f.NumValues
-	info := &Info{
-		F:       f,
-		LiveIn:  make([][]int, n),
-		LiveOut: make([][]int, n),
-	}
+	info.F = f
 	sets := blockSets{
 		use:    arena.Slab(n, nv),
 		def:    arena.Slab(n, nv),
@@ -176,7 +192,7 @@ func compute(f *ir.Func, arena *bitset.Arena, ptsBuf []Point, meter *budget.Mete
 	tmp := arena.Set(nv)
 	for changed := true; changed; {
 		if !meter.Charge(n) {
-			return nil // budget tripped mid-fixpoint: no partial results
+			return false // budget tripped mid-fixpoint: no partial results
 		}
 		changed = false
 		for i := n - 1; i >= 0; i-- {
@@ -214,11 +230,7 @@ func compute(f *ir.Func, arena *bitset.Arena, ptsBuf []Point, meter *budget.Mete
 		info.LiveIn[i] = liveIn[i].AppendTo(arena.Ints(liveIn[i].Count()))
 		info.LiveOut[i] = liveOut[i].AppendTo(arena.Ints(liveOut[i].Count()))
 	}
-	info.Points = ptsBuf
-	if !info.computePoints(liveOut, arena, meter) {
-		return nil
-	}
-	return info
+	return info.computePoints(liveOut, arena, meter)
 }
 
 // computePoints walks each block backward from its live-out set, recording
@@ -237,7 +249,6 @@ func (info *Info) computePoints(liveOut []bitset.Set, arena *bitset.Arena, meter
 	for i := range info.DefPointOf {
 		info.DefPointOf[i] = -1
 	}
-	var phiBuf []int
 	for _, b := range f.Blocks {
 		if !meter.Charge(len(b.Instrs) + 1) {
 			return false
@@ -294,14 +305,20 @@ func (info *Info) computePoints(liveOut []bitset.Set, arena *bitset.Arena, meter
 		}
 		// Phi defs are live-in: fold them into the first point so pressure
 		// at the block boundary is accounted for.
-		phiDefs := phiBuf[:0]
+		phis := 0
 		for _, ins := range b.Instrs {
 			if ins.Op == ir.OpPhi {
-				phiDefs = append(phiDefs, ins.Def)
+				phis++
 			}
 		}
-		phiBuf = phiDefs
-		if len(phiDefs) > 0 {
+		var phiDefs []int
+		if phis > 0 {
+			phiDefs = arena.Ints(phis)
+			for _, ins := range b.Instrs {
+				if ins.Op == ir.OpPhi {
+					phiDefs = append(phiDefs, ins.Def)
+				}
+			}
 			sort.Ints(phiDefs)
 			var first *Point
 			if m > 0 {

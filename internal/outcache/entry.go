@@ -1,10 +1,13 @@
 package outcache
 
 import (
+	"unsafe"
+
 	"repro/internal/alloc"
 	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/regassign"
 )
 
 // Entry is one cached allocation outcome in canonical, name-agnostic form:
@@ -121,49 +124,48 @@ func (e *Entry) Materialize(f *ir.Func) *core.Outcome {
 }
 
 // rebind clones the stored rewritten body and re-applies f's naming: the
-// function name, block names, f's value names, and the derived
-// "<slot>.r" names of the reload temporaries the spill rewrite introduced
-// — exactly the names regassign.InsertSpillCode would have produced had
-// the pipeline run on f directly.
+// function name, block names, f's value names, and the "<slot>.r" names of
+// the reload temporaries the spill rewrite introduced, through the rewrite's
+// own naming rule — exactly the names regassign.InsertSpillCode would have
+// produced had the pipeline run on f directly.
 func (e *Entry) rebind(f *ir.Func) *ir.Func {
 	g := e.rewritten.Clone()
 	g.Name = f.Name
 	for i, b := range g.Blocks {
 		b.Name = f.Blocks[i].Name
 	}
-	extra := g.NumValues - e.baseValues
-	if f.ValueName != nil || extra > 0 {
-		g.ValueName = make(map[int]string, len(f.ValueName)+extra)
-		for k, v := range f.ValueName {
-			g.ValueName[k] = v
-		}
-	}
-	if extra > 0 {
-		for _, b := range g.Blocks {
-			for i := range b.Instrs {
-				ins := &b.Instrs[i]
-				if ins.Op == ir.OpReload && ins.Def >= e.baseValues {
-					g.ValueName[ins.Def] = f.NameOf(int(ins.Imm)) + ".r"
-				}
-			}
-		}
+	if f.ValueName != nil || g.NumValues > e.baseValues {
+		regassign.NameReloads(g, f, nil)
 	}
 	return g
 }
 
-// size estimates the entry's resident bytes for the cache's accounting.
+// In-memory sizes of the parts of a rewritten body.
+const (
+	funcBytes  = int64(unsafe.Sizeof(ir.Func{}))
+	blockBytes = int64(unsafe.Sizeof(ir.Block{}) + unsafe.Sizeof((*ir.Block)(nil)))
+	instrBytes = int64(unsafe.Sizeof(ir.Instr{}))
+	intBytes   = int64(unsafe.Sizeof(int(0)))
+)
+
+// size estimates the entry's resident bytes for the cache's accounting: the
+// decision-level slices, and the rewritten body's function, block headers
+// (and the pointers to them), instructions and int lists — uses, targets,
+// clobbers and CFG edges.
 func (e *Entry) size() int64 {
 	const entryOverhead = 192
 	n := int64(entryOverhead)
-	n += 8 * int64(len(e.weight)+len(e.vertexOf)+len(e.valueOf)+len(e.spilled)+len(e.registerOf))
+	n += intBytes * int64(len(e.vertexOf)+len(e.valueOf)+len(e.spilled)+len(e.registerOf))
+	n += 8 * int64(len(e.weight))
 	n += int64(len(e.allocated))
 	if g := e.rewritten; g != nil {
-		n += 96
+		n += funcBytes
 		for _, b := range g.Blocks {
-			n += 112 + 8*int64(len(b.Preds)+len(b.Succs))
-			n += int64(len(b.Instrs)) * 88
+			n += blockBytes + intBytes*int64(len(b.Preds)+len(b.Succs))
+			n += instrBytes * int64(len(b.Instrs))
 			for i := range b.Instrs {
-				n += 8 * int64(len(b.Instrs[i].Uses)+len(b.Instrs[i].Targets))
+				ins := &b.Instrs[i]
+				n += intBytes * int64(len(ins.Uses)+len(ins.Targets)+len(ins.Clobbers))
 			}
 		}
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/fingerprint"
 	"repro/internal/ir"
@@ -333,5 +335,65 @@ func TestDefaultCapacity(t *testing.T) {
 			t.Errorf("New(%d).Capacity() = %d, want DefaultCapacity %d",
 				capacity, c.Capacity(), outcache.DefaultCapacity)
 		}
+	}
+}
+
+// TestEntryBytesCountsBody pins the entry's byte accounting of a rewritten
+// body against the real in-memory sizes on a clobber-heavy machine function
+// (on st231 every call clobbers the whole register file): each clobber
+// costs one int, each instruction unsafe.Sizeof(ir.Instr{}), and each block
+// its header plus the pointer to it.
+func TestEntryBytesCountsBody(t *testing.T) {
+	cons := arch.ST231.Constraints(8)
+	// The function with the most clobbers among the first 100 seeds.
+	var out *core.Outcome
+	clobbers := 0
+	for seed := int64(0); seed < 100; seed++ {
+		f := irgen.ConstrainedFromSeed(seed, cons)
+		o, err := core.Run(f, core.Config{Registers: 8, Constraints: cons})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, b := range o.Rewritten.Blocks {
+			for _, ins := range b.Instrs {
+				n += len(ins.Clobbers)
+			}
+		}
+		if n > clobbers {
+			out, clobbers = o, n
+		}
+	}
+	if clobbers == 0 {
+		t.Fatal("no clobbering call in 100 seeds")
+	}
+	t.Logf("%s: %d clobbers", out.F.Name, clobbers)
+	bytesWith := func(edit func(g *ir.Func)) int64 {
+		o := *out
+		o.Rewritten = out.Rewritten.Clone()
+		edit(o.Rewritten)
+		return outcache.NewEntry(&o).Bytes()
+	}
+	base := bytesWith(func(*ir.Func) {})
+	if got := base - bytesWith(func(g *ir.Func) {
+		for _, b := range g.Blocks {
+			for i := range b.Instrs {
+				b.Instrs[i].Clobbers = nil
+			}
+		}
+	}); got != int64(clobbers)*int64(unsafe.Sizeof(int(0))) {
+		t.Errorf("%d clobbers account %d bytes, want %d", clobbers, got, clobbers*int(unsafe.Sizeof(int(0))))
+	}
+	if got := bytesWith(func(g *ir.Func) {
+		b := g.Blocks[0]
+		b.Instrs = append([]ir.Instr{{Op: ir.OpConst, Def: ir.NoValue}}, b.Instrs...)
+	}) - base; got != int64(unsafe.Sizeof(ir.Instr{})) {
+		t.Errorf("one instruction accounts %d bytes, want %d", got, unsafe.Sizeof(ir.Instr{}))
+	}
+	want := int64(unsafe.Sizeof(ir.Block{}) + unsafe.Sizeof(&ir.Block{}))
+	if got := bytesWith(func(g *ir.Func) {
+		g.Blocks = append(g.Blocks, &ir.Block{ID: len(g.Blocks)})
+	}) - base; got != want {
+		t.Errorf("one block accounts %d bytes, want %d", got, want)
 	}
 }

@@ -103,8 +103,7 @@ type FuncResult struct {
 // RunModule allocates every function of m under cfg. The returned slice is
 // indexed by module position (deterministic for any worker count);
 // per-function failures land in FuncResult.Err rather than aborting the
-// batch. The module functions themselves are annotated in place with loop
-// depths, as core.Run does.
+// batch. The module functions themselves are only read, as core.Run does.
 //
 // Workers check ctx between functions, so a long batch is cancellable: on
 // cancellation RunModule still returns the full-length result slice with

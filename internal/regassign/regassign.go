@@ -41,6 +41,12 @@ type Scratch struct {
 	firstPoint []int
 	spans      []CallSpan
 	spanLive   []int
+	// Verify's register → holding value table.
+	seen []int
+	// InsertSpillCode: phi-operand reloads grouped by the predecessor they
+	// land in (offsets, fill cursors, slots, defs), and per-slot names.
+	land, fill, landSlot, landDef []int
+	names                         []string
 }
 
 // NewScratch returns an empty reusable scratch.
@@ -368,7 +374,7 @@ func (s *Scratch) AssignConstrained(f *ir.Func, dom *ir.Dominance, info *livenes
 // VerifyAssignment checks that no two simultaneously live allocated values
 // share a register, using the per-point live sets.
 func VerifyAssignment(info *liveness.Info, allocated []bool, regOf []int) error {
-	return Verify(info, allocated, regOf, nil, nil)
+	return new(Scratch).Verify(info, allocated, regOf, nil, nil)
 }
 
 // Verify checks an assignment against everything the scan promises. No two
@@ -378,7 +384,7 @@ func VerifyAssignment(info *liveness.Info, allocated []bool, regOf []int) error 
 // pre-colored — and no spilled value holds one. And no value live across a
 // call of spans holds a register that call clobbers. Forbid masks are not
 // consulted.
-func Verify(info *liveness.Info, allocated []bool, regOf []int, cons *Constraints, spans []CallSpan) error {
+func (s *Scratch) Verify(info *liveness.Info, allocated []bool, regOf []int, cons *Constraints, spans []CallSpan) error {
 	f := info.F
 	maxReg := -1
 	for _, reg := range regOf {
@@ -386,7 +392,8 @@ func Verify(info *liveness.Info, allocated []bool, regOf []int, cons *Constraint
 			maxReg = reg
 		}
 	}
-	seen := make([]int, maxReg+1)
+	s.seen = grow(s.seen, maxReg+1)
+	seen := s.seen
 	for i := range seen {
 		seen[i] = -1
 	}

@@ -86,7 +86,21 @@ func Costs(f *ir.Func, m Model) []float64 {
 // allocation per function — BuildProblem copies the costs it keeps, so the
 // buffer never escapes into an Outcome.
 func CostsInto(dst []float64, f *ir.Func, m Model) []float64 {
+	return CostsAt(dst, f, m, nil)
+}
+
+// CostsAt is CostsInto with block b at loop depth depth[b] instead of its
+// Block.LoopDepth (a nil depth reads Block.LoopDepth): the pipeline keeps
+// the loop analysis of a function it allocates to itself rather than
+// writing it into the caller's blocks.
+func CostsAt(dst []float64, f *ir.Func, m Model, depth []int) []float64 {
 	m = m.normalize()
+	depthOf := func(b *ir.Block) int {
+		if depth == nil {
+			return b.LoopDepth
+		}
+		return depth[b.ID]
+	}
 	cost := dst
 	if cap(cost) < f.NumValues {
 		cost = make([]float64, f.NumValues)
@@ -97,7 +111,7 @@ func CostsInto(dst []float64, f *ir.Func, m Model) []float64 {
 		}
 	}
 	for _, b := range f.Blocks {
-		freq := math.Pow(m.LoopBase, float64(b.LoopDepth))
+		freq := math.Pow(m.LoopBase, float64(depthOf(b)))
 		for _, ins := range b.Instrs {
 			if ins.Op.HasDef() && ins.Def != ir.NoValue {
 				cost[ins.Def] += m.StoreFactor * freq
@@ -112,7 +126,7 @@ func CostsInto(dst []float64, f *ir.Func, m Model) []float64 {
 					// access.
 					if k < len(b.Preds) {
 						p := f.Blocks[b.Preds[k]]
-						cost[u] += math.Pow(m.LoopBase, float64(p.LoopDepth))
+						cost[u] += math.Pow(m.LoopBase, float64(depthOf(p)))
 					} else {
 						cost[u] += freq
 					}
@@ -127,10 +141,24 @@ func CostsInto(dst []float64, f *ir.Func, m Model) []float64 {
 
 // BlockFrequencies returns the static frequency estimate of every block.
 func BlockFrequencies(f *ir.Func, m Model) []float64 {
+	return FrequenciesAt(nil, f, m, nil)
+}
+
+// FrequenciesAt is BlockFrequencies into dst (resized to the block count,
+// reallocating only when too small), with block b at loop depth depth[b]
+// (a nil depth reads Block.LoopDepth).
+func FrequenciesAt(dst []float64, f *ir.Func, m Model, depth []int) []float64 {
 	m = m.normalize()
-	out := make([]float64, len(f.Blocks))
-	for i, b := range f.Blocks {
-		out[i] = math.Pow(m.LoopBase, float64(b.LoopDepth))
+	if cap(dst) < len(f.Blocks) {
+		dst = make([]float64, len(f.Blocks))
 	}
-	return out
+	dst = dst[:len(f.Blocks)]
+	for i, b := range f.Blocks {
+		d := b.LoopDepth
+		if depth != nil {
+			d = depth[b.ID]
+		}
+		dst[i] = math.Pow(m.LoopBase, float64(d))
+	}
+	return dst
 }

@@ -11,7 +11,7 @@
 package stable
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -128,28 +128,48 @@ func GreedyMaximal(g *graph.Graph, candidates []int) []int {
 // which is also (weakly) decreasing total weight in practice but not by
 // guarantee; AllocateClusters sorts before choosing.
 func ClusterVertices(g *graph.Graph, weight []float64) [][]int {
+	return new(ClusterScratch).Cluster(g, weight)
+}
+
+// ClusterScratch recycles the memory of ClusterVertices across graphs: the
+// candidate order, the flags, and the clusters themselves, which partition
+// the vertices and so share one n-vertex slab. A ClusterScratch is not safe
+// for concurrent use.
+type ClusterScratch struct {
+	candidates, pool, slab []int
+	assigned, excluded     []bool
+	clusters               [][]int
+}
+
+// Cluster is ClusterVertices on the scratch's memory: the clusters are
+// valid until its next call.
+func (s *ClusterScratch) Cluster(g *graph.Graph, weight []float64) [][]int {
 	n := g.N()
-	candidates := make([]int, n)
+	candidates := grow(s.candidates, n)
 	for i := range candidates {
 		candidates[i] = i
 	}
 	// Decreasing weight, vertex ID as deterministic tie-break.
-	sort.SliceStable(candidates, func(i, j int) bool {
-		wi, wj := weight[candidates[i]], weight[candidates[j]]
-		if wi != wj {
-			return wi > wj
+	slices.SortStableFunc(candidates, func(a, b int) int {
+		if wa, wb := weight[a], weight[b]; wa != wb {
+			if wa > wb {
+				return -1
+			}
+			return 1
 		}
-		return candidates[i] < candidates[j]
+		return a - b
 	})
-	assigned := make([]bool, n)
-	excluded := make([]bool, n)
-	pool := make([]int, 0, n)
-	var clusters [][]int
+	assigned, excluded := grow(s.assigned, n), grow(s.excluded, n)
+	clear(assigned)
+	pool := grow(s.pool, n)[:0]
+	// Clusters are disjoint and cover every vertex: each is a
+	// capacity-clamped window of one n-vertex slab.
+	slab := grow(s.slab, n)[:0]
+	clusters := s.clusters[:0]
 	remaining := n
 	for remaining > 0 {
 		// Inlined GreedyMaximal over the unassigned candidates, reusing the
-		// pool and exclusion scratch across clusters (the per-cluster
-		// allocations dominated the heuristic's profile).
+		// pool and exclusion scratch across clusters.
 		pool = pool[:0]
 		for _, v := range candidates {
 			if !assigned[v] {
@@ -157,21 +177,32 @@ func ClusterVertices(g *graph.Graph, weight []float64) [][]int {
 				excluded[v] = false
 			}
 		}
-		var cluster []int
+		start := len(slab)
 		for _, v := range pool {
 			if excluded[v] {
 				continue
 			}
-			cluster = append(cluster, v)
+			slab = append(slab, v)
 			assigned[v] = true
 			g.VisitNeighbors(v, func(u int) {
 				excluded[u] = true
 			})
 		}
-		remaining -= len(cluster)
-		clusters = append(clusters, cluster)
+		remaining -= len(slab) - start
+		clusters = append(clusters, slab[start:len(slab):len(slab)])
 	}
+	s.candidates, s.pool, s.slab = candidates, pool, slab
+	s.assigned, s.excluded, s.clusters = assigned, excluded, clusters
 	return clusters
+}
+
+// grow returns s with length n, reusing its memory when large enough; the
+// contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // SetWeight sums weight over the vertex set s.

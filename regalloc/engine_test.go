@@ -301,10 +301,8 @@ func TestEngineConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each goroutine regenerates its own module: functions are
-			// annotated in place during allocation, so concurrent calls
-			// must not share *Func objects (the same contract the module
-			// pipeline follows by partitioning indexes).
+			// Each goroutine regenerates its own module (sharing one *Func
+			// across goroutines is TestAllocateFuncSharedInput's case).
 			own := irgen.GenerateModule(11, 40)
 			for i, f := range own.Funcs {
 				out, err := eng.AllocateFunc(context.Background(), f)
@@ -324,6 +322,107 @@ func TestEngineConcurrentUse(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// TestAllocateFuncSharedInput allocates one *Func from 4 goroutines, 20
+// AllocateFunc calls each, through one Engine. A run must only read its
+// input — the loop analysis stays with the run, and the rewritten function
+// carries the depths — so every detailed report (assignment and rewritten
+// body, loop depths included) equals the sequential one, the input keeps
+// its own (here zeroed) loop depths, and the race detector stays quiet.
+func TestAllocateFuncSharedInput(t *testing.T) {
+	eng, err := regalloc.New(regalloc.WithRegisters(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := nestedLoopFunc(t)
+	for _, b := range f.Blocks {
+		b.LoopDepth = 0
+	}
+	before := f.String()
+	report := func() (string, error) {
+		out, err := eng.AllocateFunc(context.Background(), f)
+		if err != nil {
+			return "", err
+		}
+		return regalloc.FormatResults([]regalloc.FuncResult{{Name: f.Name, Outcome: out}}, true), nil
+	}
+	want, err := report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(want, "loop=2") || !strings.Contains(want, "reload") {
+		t.Fatalf("want a rewrite with spills and nested loop depths, got:\n%s", want)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4*20)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got, err := report()
+				if err == nil && got != want {
+					err = fmt.Errorf("concurrent report differs from the sequential one:\n%s\nwant:\n%s", got, want)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if f.String() != before {
+		t.Errorf("allocation wrote into its input:\n%s\nwant:\n%s", f, before)
+	}
+}
+
+// nestedLoopFunc parses a strict-SSA function with a two-deep loop nest and
+// enough pressure to spill at R=3.
+func nestedLoopFunc(t *testing.T) *irx.Func {
+	t.Helper()
+	f, err := irx.Parse(`
+func nest ssa {
+b0:
+  n = param 0
+  a = param 1
+  b = param 2
+  zero = const 0
+  one = const 1
+  br b1
+b1:
+  i = phi [b0: zero], [b4: i2]
+  s = phi [b0: zero], [b4: s3]
+  c = arith i, n
+  condbr c, b2, b5
+b2:
+  j = phi [b1: zero], [b3: j2]
+  t = phi [b1: s], [b3: t2]
+  d = arith j, n
+  condbr d, b3, b4
+b3:
+  x = arith a, b
+  y = arith x, t
+  t2 = arith y, j
+  j2 = arith j, one
+  br b2
+b4:
+  s3 = arith t, a
+  i2 = arith i, one
+  br b1
+b5:
+  r = arith s, b
+  ret r
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // TestAllocateModuleMatchesPipeline pins the façade to the internal batch

@@ -370,10 +370,9 @@ func (e *Engine) newWorker() *worker {
 
 // AllocateFunc runs the full pipeline — liveness, interference analysis,
 // spill-everywhere allocation, tree-scan assignment, spill-code rewrite —
-// on one function. The function is annotated in place with loop depths,
-// so concurrent AllocateFunc calls are safe as long as they do not share
-// one *Func value; the Outcome never aliases engine scratch, so it stays
-// valid across subsequent calls. Cancellation is checked once on entry (a
+// on one function. The function is only read, so concurrent AllocateFunc
+// calls may share one *Func value; the Outcome never aliases engine
+// scratch, so it stays valid across subsequent calls. Cancellation is checked once on entry (a
 // single function is the pipeline's atomic unit); per-function failures
 // are *FuncError.
 func (e *Engine) AllocateFunc(ctx context.Context, f *irx.Func) (*Outcome, error) {

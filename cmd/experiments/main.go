@@ -39,8 +39,6 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fig := fs.Int("fig", 0, "figure to regenerate (8..15); 0 = all")
-	ext := fs.Bool("ext", false, "also run the SSA-construction extension experiment")
-	coal := fs.Bool("coalesce", false, "also run the coalescing extension experiment")
 	jsonOut := fs.String("json", "", "write the quality report (QUALITY.json) to this path; - = stdout")
 	mdOut := fs.String("md", "", "write the quality report's markdown tables to this path; - = stdout")
 	against := fs.String("against", "", "diff the fresh quality report against this committed QUALITY.json (CI gate)")
@@ -50,6 +48,9 @@ func run(args []string, out io.Writer) error {
 			return nil
 		}
 		return err
+	}
+	if *fig != 0 && (*fig < 8 || *fig > 15) {
+		return fmt.Errorf("-fig %d: want a figure in 8..15, or 0 for all", *fig)
 	}
 
 	var progress io.Writer
@@ -124,24 +125,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprint(out, workload.FormatPerBenchTable(workload.PerBenchmarkMeans(instances, names, 6), names))
 			fmt.Fprintln(out)
 		}
-	}
-
-	if *ext {
-		rows, err := workload.RunSSAExtension(workload.JITSweep)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, "Extension: SSA-based layered-optimal allocation of the JVM98 methods")
-		fmt.Fprintln(out, "(each heuristic normalized by the exact optimum of its own representation)")
-		fmt.Fprint(out, workload.FormatSSAExtension(rows))
-		fmt.Fprintln(out)
-	}
-
-	if *coal {
-		fmt.Fprintln(out, "Extension: φ-move elimination by coalescing policy (R = per-function MaxLive)")
-		fmt.Fprint(out, workload.FormatCoalesce(workload.RunCoalesce(
-			[]workload.Suite{workload.SuiteSPEC2000, workload.SuiteEEMBC, workload.SuiteLAOKernels})))
-		fmt.Fprintln(out)
 	}
 	return nil
 }

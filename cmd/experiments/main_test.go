@@ -44,10 +44,17 @@ func TestRunFigure15(t *testing.T) {
 	}
 }
 
+// TestRunBadFlag: a -fig that is not a number, or names a figure the
+// paper does not have, is an error rather than a silent empty run.
 func TestRunBadFlag(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-fig", "notanumber"}, &out); err == nil {
-		t.Error("bad -fig value accepted")
+	for _, fig := range []string{"notanumber", "3", "7", "16", "99", "-1"} {
+		var out strings.Builder
+		if err := run([]string{"-fig", fig}, &out); err == nil {
+			t.Errorf("-fig %s accepted", fig)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-fig %s printed %q", fig, out.String())
+		}
 	}
 }
 

@@ -78,7 +78,11 @@ func loadFunc(file, suiteName, progName string) (*irx.Func, error) {
 	if suiteName != "" {
 		s, ok := workload.SuiteByName(suiteName)
 		if !ok {
-			return nil, fmt.Errorf("unknown suite %q", suiteName)
+			var names []string
+			for _, s := range workload.AllSuites {
+				names = append(names, s.Name)
+			}
+			return nil, fmt.Errorf("unknown suite %q (suites: %s)", suiteName, strings.Join(names, ", "))
 		}
 		for _, p := range s.Load() {
 			if p.Name == progName {

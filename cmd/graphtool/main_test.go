@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/regalloc/workload"
 )
 
 func corpus(name string) string {
@@ -53,5 +55,20 @@ func TestRunRejectsMissingFile(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-file", "nope.ir"}, &out); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestRunUnknownSuiteListsNames: a misspelt suite name is rejected with the
+// valid names, taken from workload.AllSuites.
+func TestRunUnknownSuiteListsNames(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-suite", "spec2000", "-prog", "gzip"}, &out)
+	if err == nil {
+		t.Fatal("unknown suite accepted")
+	}
+	for _, s := range workload.AllSuites {
+		if !strings.Contains(err.Error(), s.Name) {
+			t.Errorf("error %q does not list suite %q", err, s.Name)
+		}
 	}
 }

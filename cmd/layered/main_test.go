@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/regalloc/workload"
 )
 
 func corpus(name string) string {
@@ -58,6 +60,16 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-file", corpus("loop.ir"), "-arch", "bogus"}, &out); err == nil {
 		t.Error("unknown arch accepted")
+	}
+	// A misspelt suite is rejected with the valid names.
+	err := run([]string{"-suite", "spec2000", "-prog", "gzip"}, &out)
+	if err == nil {
+		t.Fatal("unknown suite accepted")
+	}
+	for _, s := range workload.AllSuites {
+		if !strings.Contains(err.Error(), s.Name) {
+			t.Errorf("error %q does not list suite %q", err, s.Name)
+		}
 	}
 }
 

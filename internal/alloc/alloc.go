@@ -217,9 +217,6 @@ func (p *Problem) Graph() *graph.Weighted {
 	return p.g
 }
 
-// HasGraph reports whether the explicit graph is already materialized.
-func (p *Problem) HasGraph() bool { return p.g != nil }
-
 // TotalWeight sums the spill costs of all vertices.
 func (p *Problem) TotalWeight() float64 {
 	total := 0.0

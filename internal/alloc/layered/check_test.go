@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/alloc"
 	"repro/internal/raerr"
 )
 
@@ -22,20 +21,5 @@ func TestCheckProblemNonChordal(t *testing.T) {
 		if !errors.Is(err, raerr.ErrNotSSA) {
 			t.Fatalf("%s: error %v does not wrap raerr.ErrNotSSA", a.Name(), err)
 		}
-	}
-}
-
-// TestStepCheckProblem: the single-register step allocator's gate rejects
-// both a non-chordal problem and a malformed step index with typed errors.
-func TestStepCheckProblem(t *testing.T) {
-	nonChordal := &alloc.Problem{R: 1, Weight: []float64{1, 1}, Chordal: false}
-	s := &StepAllocator{Step: 1}
-	if err := s.CheckProblem(nonChordal); !errors.Is(err, raerr.ErrNotSSA) {
-		t.Fatalf("non-chordal: error %v does not wrap raerr.ErrNotSSA", err)
-	}
-	chordal := &alloc.Problem{R: 1, Weight: []float64{1, 1}, Chordal: true}
-	bad := &StepAllocator{Step: 0}
-	if err := bad.CheckProblem(chordal); !errors.Is(err, raerr.ErrInvalidConfig) {
-		t.Fatalf("step 0: error %v does not wrap raerr.ErrInvalidConfig", err)
 	}
 }

@@ -5,7 +5,8 @@
 // stable set, computed exactly in O(V+E) by Frank's algorithm, so the whole
 // allocator runs in O(R·(V+E)).
 //
-// Four variants are provided, matching the paper's §6 nomenclature:
+// The chordal allocator comes in exactly the paper's four variants (§6),
+// the combinations of its two improvements:
 //
 //	NL    plain layered allocation (Algorithm 2)
 //	BL    layered with biased weights (§4.1)
@@ -38,35 +39,22 @@ import (
 	"repro/internal/stable"
 )
 
-// Option configures a layered allocator.
-type Option struct {
-	// Bias replaces each weight w(v) by w(v)·|V| + deg(v), preferring —
+// option selects the paper's two improvements over plain layered
+// allocation; NL, BL, FPL and BFPL are its four combinations.
+type option struct {
+	// bias replaces each weight w(v) by w(v)·|V| + deg(v), preferring —
 	// among stable sets of (nearly) equal cost — the one that removes the
-	// most interferences among the still-unallocated variables.
-	Bias bool
-	// DynamicBias recomputes deg(v) per layer over the remaining
-	// candidates instead of using the static degree. The paper's formula
-	// is static; the dynamic variant matches the stated motivation
-	// ("interferences in the graph on non-allocated variables") and is
-	// measured by the bias ablation bench.
-	DynamicBias bool
-	// FixedPoint continues allocating layers past the first R, with
+	// most interferences among the still-unallocated variables (§4.1).
+	bias bool
+	// fixedPoint continues allocating layers past the first R, with
 	// per-clique occupancy bookkeeping (Algorithm 4) pruning the variables
 	// that can no longer fit, until no variable can be added.
-	FixedPoint bool
-	// MaxFixpointRounds caps the number of extra layers after the first R
-	// (0 = iterate to the fixed point). The fixpoint-depth ablation
-	// compares a single extra pass against full iteration.
-	MaxFixpointRounds int
-	// NaiveUpdate recomputes the per-clique occupancy from scratch on
-	// every Update call instead of maintaining incremental counters; the
-	// result is identical, only slower. Used by the bookkeeping ablation.
-	NaiveUpdate bool
+	fixedPoint bool
 }
 
 // Allocator is a layered-optimal allocator for chordal problems.
 type Allocator struct {
-	opt  Option
+	opt  option
 	name string
 	scr  scratch
 }
@@ -75,19 +63,14 @@ type Allocator struct {
 func NL() *Allocator { return &Allocator{name: "NL"} }
 
 // BL returns the biased layered allocator.
-func BL() *Allocator { return &Allocator{opt: Option{Bias: true}, name: "BL"} }
+func BL() *Allocator { return &Allocator{opt: option{bias: true}, name: "BL"} }
 
 // FPL returns the fixed-point layered allocator.
-func FPL() *Allocator { return &Allocator{opt: Option{FixedPoint: true}, name: "FPL"} }
+func FPL() *Allocator { return &Allocator{opt: option{fixedPoint: true}, name: "FPL"} }
 
 // BFPL returns the biased fixed-point layered allocator.
 func BFPL() *Allocator {
-	return &Allocator{opt: Option{Bias: true, FixedPoint: true}, name: "BFPL"}
-}
-
-// Custom returns an allocator with explicit options, named name.
-func Custom(name string, opt Option) *Allocator {
-	return &Allocator{opt: opt, name: name}
+	return &Allocator{opt: option{bias: true, fixedPoint: true}, name: "BFPL"}
 }
 
 // Name implements alloc.Allocator.
@@ -131,32 +114,27 @@ func (a *Allocator) AllocateProblem(p *Problem) *alloc.Result {
 		if !p.Meter.Charge(n) {
 			break // budget tripped: the layers so far stand
 		}
-		layer := st.layer(a.opt)
+		layer := st.layer(a.opt.bias)
 		if len(layer) == 0 {
 			break
 		}
 		st.allocate(layer)
 	}
 
-	if a.opt.FixedPoint && !p.Meter.Exceeded() {
+	if a.opt.fixedPoint && !p.Meter.Exceeded() {
 		// Phase 2 (Algorithm 3 lines 8–13): account for the R first layers,
 		// prune saturated cliques, then keep allocating until fixpoint.
-		st.update(st.scr.allocatedList, a.opt)
-		rounds := 0
+		st.update(st.scr.allocatedList)
 		for st.remaining > 0 {
-			if a.opt.MaxFixpointRounds > 0 && rounds >= a.opt.MaxFixpointRounds {
-				break
-			}
 			if !p.Meter.Charge(n) {
 				break
 			}
-			layer := st.layer(a.opt)
+			layer := st.layer(a.opt.bias)
 			if len(layer) == 0 {
 				break
 			}
 			st.allocate(layer)
-			st.update(layer, a.opt)
-			rounds++
+			st.update(layer)
 		}
 	}
 
@@ -166,7 +144,6 @@ func (a *Allocator) AllocateProblem(p *Problem) *alloc.Result {
 // scratch is the reusable backing memory of one Allocator.
 type scratch struct {
 	candidate          []bool
-	allocated          []bool
 	allocatedList      []int
 	cliquesOf          [][]int // graph path only; clique path uses the CSR index
 	allocatedPerClique []int
@@ -174,8 +151,6 @@ type scratch struct {
 	w                  []float64
 	inLayer            []bool
 	layerCnt           []int32 // clique path: per-clique in-layer counts
-	stamp              []int32 // clique path: vertex stamps for dynamic bias
-	stampGen           int32
 	frank              cliques.FrankScratch
 	st                 state
 }
@@ -193,7 +168,6 @@ func (a *Allocator) newState(p *Problem) *state {
 	n := p.N()
 	scr := &a.scr
 	scr.candidate = resizeBools(scr.candidate, n, true)
-	scr.allocated = resizeBools(scr.allocated, n, false)
 	scr.allocatedList = scr.allocatedList[:0]
 	scr.allocatedPerClique = resizeInts(scr.allocatedPerClique, len(p.LiveSets), 0)
 	scr.saturated = resizeBools(scr.saturated, len(p.LiveSets), false)
@@ -237,7 +211,7 @@ func (a *Allocator) newState(p *Problem) *state {
 // extended with every zero-weight candidate that fits: the additions carry
 // zero weight, so the set remains a maximum weighted stable set, uniformly
 // across NL, BL, FPL and BFPL.
-func (st *state) layer(opt Option) []int {
+func (st *state) layer(bias bool) []int {
 	p := st.p
 	n := p.N()
 	scr := st.scr
@@ -249,12 +223,8 @@ func (st *state) layer(opt Option) []int {
 		if !candidate[v] {
 			continue
 		}
-		if opt.Bias {
-			deg := st.staticDeg[v]
-			if opt.DynamicBias {
-				deg = st.dynamicDegree(v)
-			}
-			w[v] = p.Weight[v]*scale + float64(deg)
+		if bias {
+			w[v] = p.Weight[v]*scale + float64(st.staticDeg[v])
 		} else {
 			w[v] = p.Weight[v]
 		}
@@ -266,42 +236,6 @@ func (st *state) layer(opt Option) []int {
 		layer = stable.MaxWeightChordal(p.Graph().Graph, p.PEO, w)
 	}
 	return st.extendZeroWeight(layer, w)
-}
-
-// dynamicDegree counts v's still-candidate neighbours for the DynamicBias
-// ablation.
-func (st *state) dynamicDegree(v int) int {
-	scr := st.scr
-	if st.cs == nil {
-		deg := 0
-		st.p.Graph().VisitNeighbors(v, func(u int) {
-			if scr.candidate[u] {
-				deg++
-			}
-		})
-		return deg
-	}
-	// Neighbours are the union of v's live sets; dedup with a stamp array.
-	if cap(scr.stamp) < st.cs.N {
-		scr.stamp = make([]int32, st.cs.N)
-		scr.stampGen = 0
-	}
-	stamp := scr.stamp[:st.cs.N]
-	scr.stampGen++
-	gen := scr.stampGen
-	deg := 0
-	for _, ci := range st.cs.CliquesOf(v) {
-		for _, u := range st.cs.Sets[ci] {
-			if u == v || stamp[u] == gen {
-				continue
-			}
-			stamp[u] = gen
-			if scr.candidate[u] {
-				deg++
-			}
-		}
-	}
-	return deg
 }
 
 // extendZeroWeight greedily adds zero-weight candidates (ascending vertex
@@ -384,7 +318,6 @@ func (st *state) allocate(layer []int) {
 		}
 		scr.candidate[v] = false
 		st.remaining--
-		scr.allocated[v] = true
 		scr.allocatedList = append(scr.allocatedList, v)
 	}
 }
@@ -392,11 +325,7 @@ func (st *state) allocate(layer []int) {
 // update is Algorithm 4: bump the occupancy of every clique containing a
 // freshly allocated vertex; saturated cliques (occupancy ≥ R) remove all
 // their vertices from the candidate pool.
-func (st *state) update(fresh []int, opt Option) {
-	if opt.NaiveUpdate {
-		st.naiveUpdate()
-		return
-	}
+func (st *state) update(fresh []int) {
 	scr := st.scr
 	bump := func(ci int) {
 		if scr.saturated[ci] {
@@ -423,30 +352,6 @@ func (st *state) update(fresh []int, opt Option) {
 		for _, v := range fresh {
 			for _, ci := range scr.cliquesOf[v] {
 				bump(ci)
-			}
-		}
-	}
-}
-
-// naiveUpdate recomputes every clique's occupancy from the allocated flags
-// (the ablation baseline for Algorithm 4's incremental counters).
-func (st *state) naiveUpdate() {
-	scr := st.scr
-	for ci, ls := range st.p.LiveSets {
-		count := 0
-		for _, v := range ls {
-			if scr.allocated[v] {
-				count++
-			}
-		}
-		scr.allocatedPerClique[ci] = count
-		if count >= st.p.R && !scr.saturated[ci] {
-			scr.saturated[ci] = true
-			for _, u := range ls {
-				if scr.candidate[u] {
-					scr.candidate[u] = false
-					st.remaining--
-				}
 			}
 		}
 	}

@@ -164,10 +164,6 @@ func TestAllocatorNames(t *testing.T) {
 		FPL().Name() != "FPL" || BFPL().Name() != "BFPL" || NewLH().Name() != "LH" {
 		t.Fatal("allocator names wrong")
 	}
-	c := Custom("X", Option{Bias: true})
-	if c.Name() != "X" {
-		t.Fatal("custom name wrong")
-	}
 }
 
 func randomChordalProblem(r *rand.Rand, n, regs int) *alloc.Problem {
@@ -225,6 +221,37 @@ func TestPropertyFixedPointNoWorse(t *testing.T) {
 		return spillCostOf(p, BFPL().Allocate(p)) <= spillCostOf(p, BL().Allocate(p))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNaiveUpdateMatchesIncremental checks Algorithm 4's incremental
+// occupancy counters against a from-scratch recount: after every FPL and
+// BFPL run, each clique's counter equals its number of allocated members,
+// and the clique is marked saturated exactly when that count reaches R.
+func TestNaiveUpdateMatchesIncremental(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		p := randomChordalProblem(r, 2+r.Intn(25), 1+r.Intn(5))
+		for _, a := range []*Allocator{FPL(), BFPL()} {
+			res := a.Allocate(p)
+			for ci, ls := range p.LiveSets {
+				count := 0
+				for _, v := range ls {
+					if res.Allocated[v] {
+						count++
+					}
+				}
+				if a.scr.allocatedPerClique[ci] != count || a.scr.saturated[ci] != (count >= p.R) {
+					t.Logf("seed %d %s clique %d: counter %d saturated %v, recount %d (R=%d)",
+						seed, a.Name(), ci, a.scr.allocatedPerClique[ci], a.scr.saturated[ci], count, p.R)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,8 +9,10 @@ import (
 
 type fakeAllocator struct{ name string }
 
-func (f fakeAllocator) Name() string               { return f.name }
-func (f fakeAllocator) Allocate(p *Problem) *Result { return &Result{Allocated: make([]bool, p.N()), Allocator: f.name} }
+func (f fakeAllocator) Name() string { return f.name }
+func (f fakeAllocator) Allocate(p *Problem) *Result {
+	return &Result{Allocated: make([]bool, p.N()), Allocator: f.name}
+}
 
 func TestRegistryRegisterAndResolve(t *testing.T) {
 	if err := RegisterAllocator("unit-fake", false, func() Allocator { return fakeAllocator{"unit-fake"} }); err != nil {

@@ -1,90 +1,20 @@
-// Package coalesce implements register coalescing on interference graphs:
-// merging copy-related values so the copies (φ-moves and explicit copies)
-// disappear. The paper's conclusion (§8) lists the interaction between
-// layered allocation and coalescing as the main open integration question;
-// this package provides the two classical policies so that interaction can
-// be measured:
+// Package coalesce biases register assignment toward eliminating copies.
+// The paper's conclusion (§8) names the interaction between layered
+// allocation and coalescing as the main open integration question. Here
+// coalescing never changes which values spill; it only steers which
+// register each allocated value receives.
 //
-//   - Aggressive: merge every copy-related, non-interfering pair (Chaitin).
-//     Maximal move elimination, but merging can make the graph harder to
-//     colour.
-//   - Conservative: merge only when the Briggs criterion holds — the merged
-//     node has fewer than R neighbors of significant degree (≥ R) — which
-//     preserves colourability with R registers.
-//
-// Both operate on the vertex set of an ifg.Build via union-find and report
-// the eliminated move cost under the block-frequency model.
+// MovesFromFunc extracts a function's φ-operand transfers and copy
+// instructions at the value level, each weighted by its block frequency.
+// BuildAffinity groups copy-related values into affinity classes by
+// union-find over the clique structure, with no interference graph
+// materialized. A merge is refused when the two classes interfere, and
+// under the Conservative policy also when the Briggs criterion fails on
+// clique-membership degrees. The tree-scan assigner takes the resulting
+// per-value class table as a register preference: a value prefers the
+// register its affine partners already hold, when free, and never at the
+// cost of an extra spill.
 package coalesce
-
-import (
-	"sort"
-
-	"repro/internal/bitset"
-	"repro/internal/ifg"
-	"repro/internal/ir"
-	"repro/internal/spillcost"
-)
-
-// Move is one register-to-register copy: a φ operand flowing across a CFG
-// edge, or an explicit copy instruction. Costs use the source block's
-// frequency (where the move instruction would be placed).
-type Move struct {
-	// Dst and Src are interference-graph vertices.
-	Dst, Src int
-	// Cost is the dynamic frequency of the move.
-	Cost float64
-}
-
-// Moves extracts all coalescable moves of a function: φ-operand transfers
-// (placed on the incoming edge, charged at the predecessor's frequency) and
-// OpCopy instructions. Moves whose endpoints lack vertices (dead code) are
-// skipped.
-func Moves(b *ifg.Build, model spillcost.Model) []Move {
-	f := b.F
-	freqs := spillcost.BlockFrequencies(f, model)
-	var out []Move
-	add := func(dstVal, srcVal int, cost float64) {
-		dst, src := b.VertexOf[dstVal], b.VertexOf[srcVal]
-		if dst < 0 || src < 0 || dst == src {
-			return
-		}
-		out = append(out, Move{Dst: dst, Src: src, Cost: cost})
-	}
-	for _, blk := range f.Blocks {
-		for _, ins := range blk.Instrs {
-			switch ins.Op {
-			case ir.OpPhi:
-				for k, u := range ins.Uses {
-					if k < len(blk.Preds) {
-						add(ins.Def, u, freqs[blk.Preds[k]])
-					}
-				}
-			case ir.OpCopy:
-				add(ins.Def, ins.Uses[0], freqs[blk.ID])
-			}
-		}
-	}
-	return out
-}
-
-// Result reports a coalescing run.
-type Result struct {
-	// Rep maps each vertex to its representative after merging.
-	Rep []int
-	// Merged is the number of union operations performed.
-	Merged int
-	// EliminatedCost and TotalCost are the move costs removed and present.
-	EliminatedCost, TotalCost float64
-}
-
-// MovesEliminated returns the fraction of move cost eliminated (0 when
-// there are no moves).
-func (r *Result) MovesEliminated() float64 {
-	if r.TotalCost == 0 {
-		return 0
-	}
-	return r.EliminatedCost / r.TotalCost
-}
 
 // Policy selects the merge criterion. The zero value is Off so that configs
 // which never mention coalescing keep the historical (unbiased) behavior.
@@ -130,157 +60,4 @@ func PolicyByName(name string) (Policy, bool) {
 		return Conservative, true
 	}
 	return Off, false
-}
-
-// Run coalesces the moves over the interference graph of b. R is only used
-// by the Conservative policy. Moves are processed in decreasing cost order
-// (most valuable merges first), the standard priority.
-func Run(b *ifg.Build, moves []Move, policy Policy, r int) *Result {
-	n := b.Graph.N()
-	res := &Result{Rep: make([]int, n)}
-	for i := range res.Rep {
-		res.Rep[i] = i
-	}
-	if policy == Off {
-		for _, m := range moves {
-			res.TotalCost += m.Cost
-		}
-		return res
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if res.Rep[x] != x {
-			res.Rep[x] = find(res.Rep[x])
-		}
-		return res.Rep[x]
-	}
-	// Working adjacency over representatives, as bitset rows copied from the
-	// interference graph.
-	adj := make([]bitset.Set, n)
-	for v := 0; v < n; v++ {
-		adj[v] = b.Graph.AdjRow(v).Clone()
-	}
-	merge := func(a, c int) {
-		// Merge c into a: a inherits c's neighbors, and every neighbor of c
-		// now points at a instead.
-		adj[c].ForEach(func(u int) {
-			if u != a {
-				adj[u].Remove(c)
-				adj[u].Add(a)
-			}
-		})
-		adj[a].Or(adj[c])
-		adj[a].Remove(a)
-		adj[a].Remove(c)
-		adj[c] = nil
-		res.Rep[c] = a
-	}
-
-	sorted := append([]Move(nil), moves...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Cost > sorted[j].Cost })
-	for _, m := range sorted {
-		res.TotalCost += m.Cost
-		a, c := find(m.Dst), find(m.Src)
-		if a == c {
-			res.EliminatedCost += m.Cost // already coalesced by an earlier merge
-			continue
-		}
-		if adj[a].Has(c) {
-			continue // interfering: the move is real
-		}
-		if policy == Conservative && !briggsOK(adj, a, c, r) {
-			continue
-		}
-		merge(a, c)
-		res.Merged++
-		res.EliminatedCost += m.Cost
-	}
-	return res
-}
-
-// briggsOK applies the Briggs conservative test: after merging a and c, the
-// combined node must have fewer than r neighbors of degree ≥ r. Such a merge
-// can never turn an r-colourable graph uncolourable (the merged node still
-// simplifies).
-func briggsOK(adj []bitset.Set, a, c, r int) bool {
-	if r <= 0 {
-		return false
-	}
-	unionScratch := bitset.Get(len(adj))
-	union := *unionScratch
-	union.CopyFrom(adj[a])
-	union.Or(adj[c])
-	union.Remove(a)
-	union.Remove(c)
-	significant := 0
-	ok := true
-	union.ForEach(func(u int) {
-		if !ok {
-			return
-		}
-		deg := adj[u].Count()
-		// If u neighbors both a and c, merging reduces its degree by
-		// one; account for that before comparing with r.
-		if adj[a].Has(u) && adj[c].Has(u) {
-			deg--
-		}
-		if deg >= r {
-			significant++
-			if significant >= r {
-				ok = false
-			}
-		}
-	})
-	bitset.Put(unionScratch)
-	return ok
-}
-
-// MergedGraphColorableBySimplify checks the Briggs guarantee on the merged
-// graph: repeated removal of nodes with degree < r empties it. This is the
-// precise property conservative coalescing preserves (and the test suite
-// asserts).
-func MergedGraphColorableBySimplify(b *ifg.Build, res *Result, r int) bool {
-	// Rebuild merged adjacency over representative vertices.
-	n := b.Graph.N()
-	find := func(x int) int {
-		for res.Rep[x] != x {
-			x = res.Rep[x]
-		}
-		return x
-	}
-	adj := make([]bitset.Set, n)
-	present := bitset.New(n)
-	for v := 0; v < n; v++ {
-		rv := find(v)
-		if adj[rv] == nil {
-			adj[rv] = bitset.New(n)
-			present.Add(rv)
-		}
-		b.Graph.VisitNeighbors(v, func(u int) {
-			ru := find(u)
-			if ru != rv {
-				adj[rv].Add(ru)
-				if adj[ru] == nil {
-					adj[ru] = bitset.New(n)
-					present.Add(ru)
-				}
-				adj[ru].Add(rv)
-			}
-		})
-	}
-	remaining := present.Count()
-	for remaining > 0 {
-		removed := false
-		present.ForEach(func(v int) {
-			if adj[v].IntersectionCount(present) < r {
-				present.Remove(v)
-				remaining--
-				removed = true
-			}
-		})
-		if !removed {
-			return false
-		}
-	}
-	return true
 }

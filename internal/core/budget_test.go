@@ -223,10 +223,10 @@ b0:
   store x, z
   ret z
 }`)
-	// layered.Custom bypasses the registry's ChordalOnly gate (the name is
-	// unregistered), so only the ProblemChecker gate stands between the
-	// non-chordal instance and the allocator's internal panic.
-	_, err := Run(f, Config{Registers: 2, Allocator: layered.Custom("custom-nl", layered.Option{})})
+	// unregisteredNL's name is unknown to the registry, so the ChordalOnly
+	// gate lets it through and only the ProblemChecker gate stands between
+	// the non-chordal instance and the allocator's internal panic.
+	_, err := Run(f, Config{Registers: 2, Allocator: unregisteredNL{layered.NL()}})
 	if err == nil {
 		t.Fatal("non-SSA function through a layered allocator succeeded")
 	}
@@ -235,10 +235,7 @@ b0:
 	}
 }
 
-func TestStepAllocatorBadStepIsTypedError(t *testing.T) {
-	f := ir.MustParse(loopSrc)
-	_, err := Run(f, Config{Registers: 2, Allocator: &layered.StepAllocator{Step: 0}})
-	if err == nil || !errors.Is(err, raerr.ErrInvalidConfig) {
-		t.Fatalf("err = %v, want ErrInvalidConfig", err)
-	}
-}
+// unregisteredNL is NL under a name the allocator registry does not know.
+type unregisteredNL struct{ *layered.Allocator }
+
+func (unregisteredNL) Name() string { return "custom-nl" }

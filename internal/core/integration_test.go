@@ -8,7 +8,6 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/ir"
 	"repro/internal/regassign"
-	"repro/internal/ssa"
 )
 
 // TestIntegrationCorpus drives the whole pipeline over the shared IR corpus
@@ -26,45 +25,33 @@ func TestIntegrationCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range []int{1, 2, 3, 6} {
-			base := ir.MustParse(string(src))
-			// Non-SSA corpus entries go through SSA construction too.
-			var funcs []*ir.Func
-			funcs = append(funcs, base)
-			if !base.SSA {
-				converted, err := ssa.Construct(base)
-				if err != nil {
-					t.Fatalf("%s: %v", file, err)
-				}
-				funcs = append(funcs, converted)
+			f := ir.MustParse(string(src))
+			optOut, err := Run(f, Config{Registers: r, Allocator: mustAlloc(t, "Optimal")})
+			if err != nil {
+				t.Fatalf("%s R=%d Optimal: %v", file, r, err)
 			}
-			for _, f := range funcs {
-				optOut, err := Run(f, Config{Registers: r, Allocator: mustAlloc(t, "Optimal")})
-				if err != nil {
-					t.Fatalf("%s R=%d Optimal: %v", file, r, err)
+			for _, name := range []string{"NL", "BL", "FPL", "BFPL", "GC", "LH", "DLS", "BLS"} {
+				if !f.SSA && (name == "NL" || name == "BL" || name == "FPL" || name == "BFPL") {
+					continue // chordal-only allocators
 				}
-				for _, name := range []string{"NL", "BL", "FPL", "BFPL", "GC", "LH", "DLS", "BLS"} {
-					if !f.SSA && (name == "NL" || name == "BL" || name == "FPL" || name == "BFPL") {
-						continue // chordal-only allocators
+				out, err := Run(f, Config{Registers: r, Allocator: mustAlloc(t, name)})
+				if err != nil {
+					t.Fatalf("%s R=%d %s: %v", file, r, name, err)
+				}
+				if out.SpillCost < optOut.SpillCost-1e-9 {
+					t.Fatalf("%s R=%d: %s (%g) beat Optimal (%g)",
+						file, r, name, out.SpillCost, optOut.SpillCost)
+				}
+				if f.SSA && out.Rewritten != nil {
+					if err := out.Rewritten.Validate(); err != nil {
+						t.Fatalf("%s R=%d %s rewrite: %v", file, r, name, err)
 					}
-					out, err := Run(f, Config{Registers: r, Allocator: mustAlloc(t, name)})
-					if err != nil {
-						t.Fatalf("%s R=%d %s: %v", file, r, name, err)
-					}
-					if out.SpillCost < optOut.SpillCost-1e-9 {
-						t.Fatalf("%s R=%d: %s (%g) beat Optimal (%g)",
-							file, r, name, out.SpillCost, optOut.SpillCost)
-					}
-					if f.SSA && out.Rewritten != nil {
-						if err := out.Rewritten.Validate(); err != nil {
-							t.Fatalf("%s R=%d %s rewrite: %v", file, r, name, err)
-						}
-					}
-					if f.SSA && out.RegisterOf != nil {
-						for val, reg := range out.RegisterOf {
-							if reg != regassign.NoReg && (reg < 0 || reg >= r) {
-								t.Fatalf("%s R=%d %s: register %d for %s out of range",
-									file, r, name, reg, f.NameOf(val))
-							}
+				}
+				if f.SSA && out.RegisterOf != nil {
+					for val, reg := range out.RegisterOf {
+						if reg != regassign.NoReg && (reg < 0 || reg >= r) {
+							t.Fatalf("%s R=%d %s: register %d for %s out of range",
+								file, r, name, reg, f.NameOf(val))
 						}
 					}
 				}

@@ -196,13 +196,6 @@ func (g *Graph) VisitNeighbors(v int, fn func(u int)) {
 	g.adj[v].ForEach(fn)
 }
 
-// AdjRow returns v's adjacency bitset. The row is shared with the graph and
-// must not be mutated; it stays valid until the next AddVertex.
-func (g *Graph) AdjRow(v int) bitset.Set {
-	g.check(v)
-	return g.adj[v]
-}
-
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)

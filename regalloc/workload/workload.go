@@ -34,12 +34,6 @@ type Shape = bench.Shape
 // NonSSAShape parameterizes the deterministic non-SSA program generator.
 type NonSSAShape = bench.NonSSAShape
 
-// SSAExtensionRow is one row of the SSA-construction extension experiment.
-type SSAExtensionRow = bench.SSAExtensionRow
-
-// CoalesceRow is one row of the φ-move coalescing extension experiment.
-type CoalesceRow = bench.CoalesceRow
-
 // The paper's workload suites and register sweeps.
 var (
 	SuiteSPEC2000   = bench.SuiteSPEC2000
@@ -51,7 +45,8 @@ var (
 	JITSweep        = bench.JITSweep
 )
 
-// SuiteByName resolves a suite by name ("spec2000", "eembc", "lao", "jvm98").
+// SuiteByName resolves a suite by name ("spec2000int", "eembc",
+// "lao-kernels", "jvm98").
 func SuiteByName(name string) (Suite, bool) { return bench.SuiteByName(name) }
 
 // GenSSA deterministically generates a strict-SSA function.
@@ -137,18 +132,3 @@ func FormatDistTable(ratios map[int]map[string][]float64, allocators []string) s
 func FormatPerBenchTable(per map[string]map[string]float64, allocators []string) string {
 	return bench.FormatPerBenchTable(per, allocators)
 }
-
-// RunSSAExtension runs the SSA-construction extension experiment over the
-// JVM98 methods at the given register counts.
-func RunSSAExtension(registers []int) ([]SSAExtensionRow, error) {
-	return bench.RunSSAExtension(registers)
-}
-
-// FormatSSAExtension renders the extension experiment's table.
-func FormatSSAExtension(rows []SSAExtensionRow) string { return bench.FormatSSAExtension(rows) }
-
-// RunCoalesce runs the φ-move coalescing extension experiment.
-func RunCoalesce(suites []Suite) []CoalesceRow { return bench.RunCoalesce(suites) }
-
-// FormatCoalesce renders the coalescing experiment's table.
-func FormatCoalesce(rows []CoalesceRow) string { return bench.FormatCoalesce(rows) }

@@ -58,7 +58,7 @@ func TestGenDuplicatedRate(t *testing.T) {
 		if len(m.Funcs) != n {
 			t.Fatalf("generated %d functions, want %d", len(m.Funcs), n)
 		}
-		eng, err := regalloc.New(regalloc.WithRegisters(4), regalloc.WithCache(4 * n))
+		eng, err := regalloc.New(regalloc.WithRegisters(4), regalloc.WithCache(4*n))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/ifg"
-	"repro/internal/ir"
 	"repro/internal/liveness"
 	"repro/internal/raerr"
 )
@@ -197,56 +196,18 @@ func BuildIntervals(info *liveness.Info, b *ifg.Build) [][2]int {
 }
 
 // IntervalsFromLiveness is BuildIntervals decoupled from the interference
-// graph build: it needs only the liveness points and a value→vertex map of
+// graph build: it needs only the liveness result and a value→vertex map of
 // size n, so the IFG-free fast path can construct linear-scan intervals
-// without ever materializing a graph.
+// without ever materializing a graph. Each interval is its value's span of
+// live points, read from liveness in O(NumValues).
 func IntervalsFromLiveness(info *liveness.Info, vertexOf []int, n int) [][2]int {
 	intervals := make([][2]int, n)
 	for i := range intervals {
 		intervals[i] = [2]int{0, -1}
 	}
-	touch := func(vertex, point int) {
-		iv := &intervals[vertex]
-		if iv[1] < iv[0] {
-			*iv = [2]int{point, point}
-			return
-		}
-		if point < iv[0] {
-			iv[0] = point
-		}
-		if point > iv[1] {
-			iv[1] = point
-		}
-	}
-	for pt, p := range info.Points {
-		for _, val := range p.Live {
-			if vx := vertexOf[val]; vx >= 0 {
-				touch(vx, pt)
-			}
-		}
-	}
-	// Defs that are never live (dead defs) still occupy their def point:
-	// give them a one-point interval at their block's first point. The
-	// point indices above are positions in info.Points, which is laid out
-	// block by block; find each block's first point index.
-	firstPoint := make([]int, len(info.F.Blocks))
-	for i := range firstPoint {
-		firstPoint[i] = -1
-	}
-	for pt, p := range info.Points {
-		if firstPoint[p.Block] < 0 {
-			firstPoint[p.Block] = pt
-		}
-	}
-	for _, blk := range info.F.Blocks {
-		for _, ins := range blk.Instrs {
-			if !ins.Op.HasDef() || ins.Def == ir.NoValue {
-				continue
-			}
-			vx := vertexOf[ins.Def]
-			if vx >= 0 && intervals[vx][1] < intervals[vx][0] {
-				touch(vx, firstPoint[blk.ID])
-			}
+	for val, vx := range vertexOf {
+		if vx >= 0 && info.FirstPoint[val] >= 0 {
+			intervals[vx] = [2]int{info.FirstPoint[val], info.LastPoint[val]}
 		}
 	}
 	return intervals

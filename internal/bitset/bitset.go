@@ -108,6 +108,21 @@ func (s Set) OrChanged(t Set) bool {
 	return changed
 }
 
+// OrAndNotChanged performs s |= t &^ u in one pass and reports whether s
+// changed. The three sets must be sized for the same universe.
+func (s Set) OrAndNotChanged(t, u Set) bool {
+	changed := false
+	u = u[:len(t)]
+	for i, w := range t {
+		w &^= u[i]
+		if old := s[i]; old|w != old {
+			s[i] = old | w
+			changed = true
+		}
+	}
+	return changed
+}
+
 // And intersects s with t (s &= t).
 func (s Set) And(t Set) {
 	for i := range s {
@@ -116,16 +131,6 @@ func (s Set) And(t Set) {
 		} else {
 			s[i] = 0
 		}
-	}
-}
-
-// AndNot removes every element of t from s (s &^= t).
-func (s Set) AndNot(t Set) {
-	for i, w := range t {
-		if i >= len(s) {
-			break
-		}
-		s[i] &^= w
 	}
 }
 

@@ -52,12 +52,6 @@ func TestSetAlgebra(t *testing.T) {
 		t.Fatalf("And = %v", got)
 	}
 
-	andnot := a.Clone()
-	andnot.AndNot(b)
-	if got := andnot.AppendTo(nil); !equalInts(got, []int{1, 100}) {
-		t.Fatalf("AndNot = %v", got)
-	}
-
 	if got := a.IntersectionCount(b); got != 2 {
 		t.Fatalf("IntersectionCount = %d, want 2", got)
 	}
@@ -68,6 +62,17 @@ func TestSetAlgebra(t *testing.T) {
 	}
 	if c.OrChanged(b) != false {
 		t.Fatal("OrChanged twice = true")
+	}
+
+	d := New(130)
+	if !d.OrAndNotChanged(a, b) {
+		t.Fatal("OrAndNotChanged into an empty set = false")
+	}
+	if got := d.AppendTo(nil); !equalInts(got, []int{1, 100}) {
+		t.Fatalf("OrAndNotChanged = %v, want a minus b = [1 100]", got)
+	}
+	if d.OrAndNotChanged(a, b) {
+		t.Fatal("OrAndNotChanged twice = true")
 	}
 }
 

@@ -26,9 +26,10 @@
 // colouring, the exact solver, the general-graph heuristic).
 //
 // Derive is defensive: it returns nil whenever a structural assumption does
-// not hold (a present value without a definition, unreachable blocks that
-// carry code), and callers fall back to the explicit interference-graph
-// path. Applicable is the cheap pre-check the pipeline gates on.
+// not hold (a present value without a definition, a live value that is
+// neither defined nor used, unreachable blocks that carry code), and callers
+// fall back to the explicit interference-graph path. Applicable is the cheap
+// pre-check the pipeline gates on.
 package cliques
 
 import (
@@ -174,10 +175,11 @@ func Applicable(f *ir.Func, dom *ir.Dominance) bool {
 type Scratch struct {
 	arena  bitset.Arena
 	intern *bitset.Interner
-	vsBuf  []int
 	// Project's interner (apart from Derive's, whose table is larger;
-	// created on first use) and its full-to-projected vertex and set maps.
+	// created on first use), its translation buffer and its
+	// full-to-projected vertex and set maps.
 	projIntern *bitset.Interner
+	vsBuf      []int
 	vertexMap  []int
 	setMap     []int32
 }
@@ -227,8 +229,10 @@ func derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, meter *bud
 		return nil // budget tripped before vertex numbering
 	}
 
-	// Vertex numbering: every value that is defined, used, or live anywhere,
-	// ascending — byte-identical to the ifg.Build numbering.
+	// Vertex numbering: every value that is defined or used, ascending —
+	// byte-identical to the ifg.Build numbering, which also counts values
+	// live anywhere: liveness makes a value live only through a use or at
+	// its definition, so live ⊆ defined ∪ used.
 	present := arena.Set(nv)
 	mark := func(v int) {
 		if v >= 0 && v < nv {
@@ -245,11 +249,6 @@ func derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, meter *bud
 			}
 		}
 	}
-	for _, p := range info.Points {
-		for _, v := range p.Live {
-			mark(v)
-		}
-	}
 	n := present.Count()
 	s.N = n
 	s.VertexOf = make([]int, nv)
@@ -262,8 +261,12 @@ func derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, meter *bud
 		s.ValueOf = append(s.ValueOf, v)
 	})
 
-	// Intern the program-point live sets (translated to vertex IDs) and
-	// remember, per point, which interned set it maps to.
+	// Intern the program-point live sets as they are, by reference (liveness
+	// owns them until its next Compute, and the interner is reset before
+	// then), and remember, per point, which interned set it maps to. The
+	// value→vertex map is monotone, so the distinct sets, their first-
+	// appearance order and their ascending member order are those of the
+	// translated sets.
 	if !meter.Charge(len(info.Points)) {
 		return nil
 	}
@@ -271,18 +274,11 @@ func derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, meter *bud
 	pointSet = pointSet[:len(info.Points)]
 	intern := scratch.intern
 	for pi, p := range info.Points {
-		vs := scratch.vsBuf[:0]
-		for _, v := range p.Live {
-			if vx := s.VertexOf[v]; vx >= 0 {
-				vs = append(vs, vx)
-			}
-		}
-		scratch.vsBuf = vs
-		if len(vs) == 0 {
+		if len(p.Live) == 0 {
 			pointSet[pi] = -1
 			continue
 		}
-		idx, _ := intern.Intern(vs)
+		idx, _ := intern.InternRef(p.Live)
 		pointSet[pi] = idx
 	}
 
@@ -306,8 +302,9 @@ func derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, meter *bud
 		return nil
 	}
 
-	// Copy the interned sets out into one exact-size retained slab (the
-	// interner's storage is scratch and will be recycled).
+	// Translate each distinct set once, straight into one exact-size
+	// retained slab (the interned sets belong to liveness). A live value
+	// without a vertex means the input was not what this path is for.
 	interned := intern.Sets()
 	total := 0
 	for _, set := range interned {
@@ -316,12 +313,18 @@ func derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, meter *bud
 	if !meter.Charge(n + total) {
 		return nil
 	}
-	slab := make([]int, 0, total)
+	slab := make([]int, total)
 	s.Sets = make([][]int, len(interned))
+	start := 0
 	for i, set := range interned {
-		start := len(slab)
-		slab = append(slab, set...)
-		s.Sets[i] = slab[start:len(slab):len(slab)]
+		out := slab[start : start+len(set) : start+len(set)]
+		for j, v := range set {
+			if out[j] = s.VertexOf[v]; out[j] < 0 {
+				return nil
+			}
+		}
+		s.Sets[i] = out
+		start += len(set)
 	}
 	s.index(total, arena.Ints(n)[:n])
 	return s

@@ -1,6 +1,7 @@
 package cliques
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -249,5 +250,32 @@ func TestMaximalCliquesAreDefSets(t *testing.T) {
 				t.Fatalf("seed %d: maximal clique %v not among the live sets", seed, mcs)
 			}
 		}
+	}
+}
+
+// TestDeriveSetsDeduplicated: Derive is where program-point live sets are
+// deduplicated, so no two of its Sets are equal.
+func TestDeriveSetsDeduplicated(t *testing.T) {
+	f := ir.MustParse(`
+func s ssa {
+b0:
+  a = param 0
+  b = param 1
+  c = arith a, b
+  d = arith c, b
+  e = arith d, a
+  ret e
+}`)
+	cs := deriveFor(t, f, nil)
+	if cs == nil {
+		t.Fatal("derivation failed")
+	}
+	seen := map[string]bool{}
+	for _, s := range cs.Sets {
+		key := fmt.Sprint(s)
+		if seen[key] {
+			t.Fatalf("duplicate live set %v in %v", s, cs.Sets)
+		}
+		seen[key] = true
 	}
 }

@@ -16,6 +16,10 @@ type Dominance struct {
 	Order []int
 	// Postorder lists reachable block IDs in postorder.
 	Postorder []int
+	// pre[b] numbers block b in a preorder of the dominator tree (-1 if
+	// unreachable) and last[b] is the largest number in b's subtree, so a
+	// dominates b exactly when pre[b] falls in [pre[a], last[a]].
+	pre, last []int
 }
 
 // Scratch is reusable memory for validating functions and analysing their
@@ -28,8 +32,8 @@ type Dominance struct {
 // is not safe for concurrent use.
 type Scratch struct {
 	dom Dominance
-	// Dominance: Idom, Order, Postorder and the DFS stack share ints; the
-	// children lists are windows of kids.
+	// Dominance: Idom, Order, Postorder, the DFS stack, the tree numbering
+	// and its preorder share ints; the children lists are windows of kids.
 	ints, counts, kids []int
 	visited            []bool
 	// validateSSA's value-indexed definition tables.
@@ -52,7 +56,7 @@ func (f *Func) ComputeDominance() *Dominance {
 // dominance is ComputeDominance on the scratch's memory.
 func (s *Scratch) dominance(f *Func) *Dominance {
 	n := len(f.Blocks)
-	s.ints = grow(s.ints, 4*n)
+	s.ints = grow(s.ints, 7*n)
 	slab := s.ints
 	d := &s.dom
 	d.Idom = slab[0:n:n]
@@ -161,7 +165,32 @@ func (s *Scratch) dominance(f *Func) *Dominance {
 		d.Children[p] = kids[off:end:end]
 		off = end
 	}
+	d.number(slab[4*n:5*n:5*n], slab[5*n:6*n:6*n], slab[6*n:6*n:7*n], slab[3*n:3*n:4*n])
 	return d
+}
+
+// number fills d.pre and d.last from the dominator tree into pre and last
+// (length n each), using seq and stack (empty, capacity n) as scratch.
+func (d *Dominance) number(pre, last, seq, stack []int) {
+	d.pre, d.last = pre, last
+	for i := range pre {
+		pre[i] = -1
+	}
+	stack = append(stack, 0)
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		pre[b], last[b] = len(seq), len(seq)
+		seq = append(seq, b)
+		stack = append(stack, d.Children[b]...)
+	}
+	// A subtree follows its root in preorder: walking the preorder backward
+	// finishes every subtree before its root's parent reads it.
+	for i := len(seq) - 1; i > 0; i-- {
+		b := seq[i]
+		p := d.Idom[b]
+		last[p] = max(last[p], last[b])
+	}
 }
 
 // grow returns s with length n, reusing its memory when large enough; the
@@ -185,21 +214,12 @@ func (d *Dominance) intersect(a, b int) int {
 	return a
 }
 
-// Dominates reports whether block a dominates block b (reflexively).
+// Dominates reports whether block a dominates block b (reflexively), in
+// O(1) from the dominator tree's preorder numbering. Unreachable blocks
+// dominate nothing and are dominated by nothing.
 func (d *Dominance) Dominates(a, b int) bool {
-	if d.Order[b] < 0 || d.Order[a] < 0 {
-		return false
-	}
-	for b != a {
-		if d.Order[b] <= d.Order[a] {
-			return false
-		}
-		b = d.Idom[b]
-		if b < 0 {
-			return false
-		}
-	}
-	return true
+	pa, pb := d.pre[a], d.pre[b]
+	return pa >= 0 && pb >= 0 && pa <= pb && pb <= d.last[a]
 }
 
 // ComputeLoops fills Block.LoopDepth using natural loops: for every back

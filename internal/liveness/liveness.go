@@ -4,12 +4,15 @@
 // a phi's operands are live out of the corresponding predecessor blocks (not
 // live into the phi's block), and the phi's result is live in.
 //
-// Internally every set is a dense bitset over value IDs; the public API
-// stays sorted []int slices (ascending by construction of the bitset
-// iteration), so callers are unaffected by the representation.
+// The block-level dataflow runs on dense bitsets over value IDs. The
+// per-point walk instead keeps the live set as a sorted list, so a point's
+// snapshot costs O(|live|) however many values the function has, and it
+// records each value's span of live points on the way. The public API
+// speaks sorted []int slices throughout.
 package liveness
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -39,6 +42,11 @@ type Info struct {
 	// from: Points[DefPointOf[v]].Live is exactly the def-point clique the
 	// interference graph would materialize around v.
 	DefPointOf []int
+	// FirstPoint[v] and LastPoint[v] are the smallest and largest indices in
+	// Points whose live set holds value v, -1 for a value live nowhere.
+	// Every defined value has a span: a dead definition is live at its
+	// definition instant. Linear scan reads its intervals from them.
+	FirstPoint, LastPoint []int
 	// MaxLive is the maximum, over all points, of the live-set size.
 	MaxLive int
 }
@@ -53,9 +61,10 @@ type Point struct {
 	Live []int
 }
 
-// blockSets carries the per-block bitsets of the dataflow problem.
+// blockSets carries the per-block bitsets of the dataflow problem. gen(b)
+// holds b's upward-exposed uses and its phi defs, which count as live-in.
 type blockSets struct {
-	use, def, phiDef []bitset.Set
+	gen, def, phiDef []bitset.Set
 	// Phi-operand liveness, flattened: block b's predecessor slot k (the
 	// k-th operand of its phis) is phiUse[phiOff[b]+k]. Blocks without phis
 	// get no slots (phiOff[b] == phiOff[b+1]), so the whole table is two
@@ -144,7 +153,7 @@ func compute(f *ir.Func, arena *bitset.Arena, info *Info, meter *budget.Meter) b
 	nv := f.NumValues
 	info.F = f
 	sets := blockSets{
-		use:    arena.Slab(n, nv),
+		gen:    arena.Slab(n, nv),
 		def:    arena.Slab(n, nv),
 		phiDef: arena.Slab(n, nv),
 	}
@@ -164,6 +173,7 @@ func compute(f *ir.Func, arena *bitset.Arena, info *Info, meter *budget.Meter) b
 			if ins.Op == ir.OpPhi {
 				sets.phiDef[b.ID].Add(ins.Def)
 				sets.def[b.ID].Add(ins.Def)
+				sets.gen[b.ID].Add(ins.Def)
 				for k, u := range ins.Uses {
 					// The second guard covers malformed inputs (a phi not
 					// leading its block gets no slots).
@@ -176,7 +186,7 @@ func compute(f *ir.Func, arena *bitset.Arena, info *Info, meter *budget.Meter) b
 			}
 			for _, u := range ins.Uses {
 				if !sets.def[b.ID].Has(u) {
-					sets.use[b.ID].Add(u)
+					sets.gen[b.ID].Add(u)
 				}
 			}
 			if ins.Op.HasDef() && ins.Def != ir.NoValue {
@@ -186,10 +196,10 @@ func compute(f *ir.Func, arena *bitset.Arena, info *Info, meter *budget.Meter) b
 	}
 	liveIn := arena.Slab(n, nv)
 	liveOut := arena.Slab(n, nv)
-	// Backward fixpoint. LiveIn(b) = use(b) ∪ phiDef(b) ∪ (LiveOut(b) \ def(b))
-	// (phi defs are "defined at the block boundary" and count as live-in).
+	// Backward fixpoint. LiveIn(b) = gen(b) ∪ (LiveOut(b) \ def(b)), where
+	// gen(b) = use(b) ∪ phiDef(b) (phi defs are "defined at the block
+	// boundary" and count as live-in).
 	// LiveOut(b) = ∪_{s∈succ(b)} (LiveIn(s) \ phiDef(s)) ∪ phiUse(s)[b].
-	tmp := arena.Set(nv)
 	for changed := true; changed; {
 		if !meter.Charge(n) {
 			return false // budget tripped mid-fixpoint: no partial results
@@ -199,9 +209,7 @@ func compute(f *ir.Func, arena *bitset.Arena, info *Info, meter *budget.Meter) b
 			b := f.Blocks[i]
 			out := liveOut[b.ID]
 			for _, s := range b.Succs {
-				tmp.CopyFrom(liveIn[s])
-				tmp.AndNot(sets.phiDef[s])
-				if out.OrChanged(tmp) {
+				if out.OrAndNotChanged(liveIn[s], sets.phiDef[s]) {
 					changed = true
 				}
 				if lo, hi := sets.phiOff[s], sets.phiOff[s+1]; hi > lo {
@@ -213,15 +221,10 @@ func compute(f *ir.Func, arena *bitset.Arena, info *Info, meter *budget.Meter) b
 				}
 			}
 			in := liveIn[b.ID]
-			if in.OrChanged(sets.use[b.ID]) {
+			if in.OrChanged(sets.gen[b.ID]) {
 				changed = true
 			}
-			if in.OrChanged(sets.phiDef[b.ID]) {
-				changed = true
-			}
-			tmp.CopyFrom(out)
-			tmp.AndNot(sets.def[b.ID])
-			if in.OrChanged(tmp) {
+			if in.OrAndNotChanged(out, sets.def[b.ID]) {
 				changed = true
 			}
 		}
@@ -230,39 +233,62 @@ func compute(f *ir.Func, arena *bitset.Arena, info *Info, meter *budget.Meter) b
 		info.LiveIn[i] = liveIn[i].AppendTo(arena.Ints(liveIn[i].Count()))
 		info.LiveOut[i] = liveOut[i].AppendTo(arena.Ints(liveOut[i].Count()))
 	}
-	return info.computePoints(liveOut, arena, meter)
+	return info.computePoints(arena, meter)
 }
 
 // computePoints walks each block backward from its live-out set, recording
 // the live set before every non-phi instruction plus the block-end point,
-// and the definition instant of every value (DefPointOf). It reports false
-// when the budget meter trips mid-walk.
-func (info *Info) computePoints(liveOut []bitset.Set, arena *bitset.Arena, meter *budget.Meter) bool {
+// the definition instant of every value (DefPointOf) and the span of points
+// each value is live at (FirstPoint, LastPoint). The walk keeps the live set
+// as a sorted list, so a snapshot costs O(|live|) whatever NumValues is. It
+// reports false when the budget meter trips mid-walk.
+func (info *Info) computePoints(arena *bitset.Arena, meter *budget.Meter) bool {
 	f := info.F
 	nv := f.NumValues
-	live := arena.Set(nv)
-	snapshot := func() []int {
-		return live.AppendTo(arena.Ints(live.Count()))
-	}
-	info.DefPointOf = arena.Ints(nv)
-	info.DefPointOf = info.DefPointOf[:nv]
-	for i := range info.DefPointOf {
-		info.DefPointOf[i] = -1
-	}
+	info.DefPointOf = fill(arena.Ints(nv)[:nv], -1)
+	info.FirstPoint = fill(arena.Ints(nv)[:nv], -1)
+	info.LastPoint = fill(arena.Ints(nv)[:nv], -1)
+	// live is the current live set, ascending. No more than every value is
+	// live at once, so it never outgrows its carving.
+	live := arena.Ints(nv)
 	for _, b := range f.Blocks {
 		if !meter.Charge(len(b.Instrs) + 1) {
 			return false
 		}
-		live.CopyFrom(liveOut[b.ID])
-		endPoint := Point{Block: b.ID, Index: len(b.Instrs), Live: snapshot()}
 		// Points of this block are appended to info.Points in reverse layout
 		// order starting at base, then flipped in place — no per-block
-		// staging slice. Def instants are first recorded as backward
-		// positions within the block segment, encoded negative (-(bwd+3), or
-		// -2 for the block-end point) so the forward translation pass below
-		// can tell them apart from the final Points indices of earlier
-		// blocks.
+		// staging slice. Positions within the block segment are first
+		// recorded backward, encoded negative so the forward translation
+		// below can tell them apart from the final Points indices of earlier
+		// blocks: -2 for the block-end point, -(k+3) for the k-th point
+		// recorded.
 		base := len(info.Points)
+		newest := func() int { // the position of the newest point
+			if k := len(info.Points) - base; k > 0 {
+				return -(k - 1 + 3)
+			}
+			return -2
+		}
+		upcoming := func() int { return -(len(info.Points) - base + 3) }
+		// Spans, walking backward: a value's first sighting in the block is
+		// its last point there, the sighting before it leaves the live set
+		// its first. Spans resolved in an earlier block (>= 0) keep their
+		// first point; their last point moves on.
+		enter := func(v, pos int) {
+			if info.LastPoint[v] > -2 {
+				info.LastPoint[v] = pos
+			}
+		}
+		leave := func(v int) {
+			if info.FirstPoint[v] < 0 {
+				info.FirstPoint[v] = newest()
+			}
+		}
+		live = append(live[:0], info.LiveOut[b.ID]...)
+		for _, v := range live {
+			enter(v, -2)
+		}
+		endPoint := Point{Block: b.ID, Index: len(b.Instrs), Live: snapshot(arena, live)}
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			ins := &b.Instrs[i]
 			if ins.Op == ir.OpPhi {
@@ -277,24 +303,29 @@ func (info *Info) computePoints(liveOut []bitset.Set, arena *bitset.Arena, meter
 				// its register. For a dead definition this set is strictly
 				// larger than any surrounding live set, and it is what the
 				// interference graph's cliques reflect — record it so
-				// MaxLive equals the clique number on SSA functions.
-				if !live.Has(ins.Def) {
-					live.Add(ins.Def)
-					info.Points = append(info.Points, Point{Block: b.ID, Index: i, Live: snapshot()})
-					info.DefPointOf[ins.Def] = -(len(info.Points) - base - 1 + 3)
-				} else if len(info.Points) > base {
-					// Live def: the instant is the point just after the
-					// instruction, i.e. the last point recorded so far.
-					info.DefPointOf[ins.Def] = -(len(info.Points) - base - 1 + 3)
-				} else {
-					info.DefPointOf[ins.Def] = -2 // block-end point
+				// MaxLive equals the clique number on SSA functions. For a
+				// live def the instant is the point just after the
+				// instruction, the newest one recorded.
+				j, ok := slices.BinarySearch(live, ins.Def)
+				if !ok {
+					enter(ins.Def, upcoming())
+					live = insertAt(live, j, ins.Def)
+					info.Points = append(info.Points, Point{Block: b.ID, Index: i, Live: snapshot(arena, live)})
 				}
-				live.Remove(ins.Def)
+				live = slices.Delete(live, j, j+1)
+				info.DefPointOf[ins.Def] = newest()
+				leave(ins.Def)
 			}
 			for _, u := range ins.Uses {
-				live.Add(u)
+				if j, ok := slices.BinarySearch(live, u); !ok {
+					enter(u, upcoming())
+					live = insertAt(live, j, u)
+				}
 			}
-			info.Points = append(info.Points, Point{Block: b.ID, Index: i, Live: snapshot()})
+			info.Points = append(info.Points, Point{Block: b.ID, Index: i, Live: snapshot(arena, live)})
+		}
+		for _, v := range live {
+			leave(v)
 		}
 		m := len(info.Points) - base
 		// The segment is in reverse layout order; flip, then append the
@@ -302,6 +333,34 @@ func (info *Info) computePoints(liveOut []bitset.Set, arena *bitset.Arena, meter
 		seg := info.Points[base:]
 		for i, j := 0, len(seg)-1; i < j; i, j = i+1, j-1 {
 			seg[i], seg[j] = seg[j], seg[i]
+		}
+		resolve := func(p *int) {
+			switch {
+			case *p == -2:
+				*p = base + m // block-end point
+			case *p <= -3:
+				*p = base + (m - 1 - (-*p - 3))
+			}
+		}
+		// Every value with a position in this block is live out of it,
+		// used in it or defined in it.
+		for _, v := range info.LiveOut[b.ID] {
+			resolve(&info.LastPoint[v])
+			resolve(&info.FirstPoint[v])
+		}
+		for _, ins := range b.Instrs {
+			if ins.Op == ir.OpPhi {
+				continue
+			}
+			for _, u := range ins.Uses {
+				resolve(&info.LastPoint[u])
+				resolve(&info.FirstPoint[u])
+			}
+			if ins.Op.HasDef() && ins.Def != ir.NoValue {
+				resolve(&info.DefPointOf[ins.Def])
+				resolve(&info.LastPoint[ins.Def])
+				resolve(&info.FirstPoint[ins.Def])
+			}
 		}
 		// Phi defs are live-in: fold them into the first point so pressure
 		// at the block boundary is accounted for.
@@ -311,36 +370,26 @@ func (info *Info) computePoints(liveOut []bitset.Set, arena *bitset.Arena, meter
 				phis++
 			}
 		}
-		var phiDefs []int
 		if phis > 0 {
-			phiDefs = arena.Ints(phis)
+			phiDefs := arena.Ints(phis)
 			for _, ins := range b.Instrs {
 				if ins.Op == ir.OpPhi {
 					phiDefs = append(phiDefs, ins.Def)
 				}
 			}
 			sort.Ints(phiDefs)
-			var first *Point
+			first := &endPoint
 			if m > 0 {
 				first = &seg[0]
-			} else {
-				first = &endPoint
 			}
 			first.Live = mergeSorted(arena.Ints(len(first.Live)+len(phiDefs)), first.Live, phiDefs)
-		}
-		for _, ins := range b.Instrs {
-			if ins.Op == ir.OpPhi || !ins.Op.HasDef() || ins.Def == ir.NoValue {
-				continue
+			for _, pd := range phiDefs {
+				info.DefPointOf[pd] = base // first point (or block end when m == 0)
+				if info.FirstPoint[pd] < 0 {
+					info.FirstPoint[pd] = base
+				}
+				info.LastPoint[pd] = max(info.LastPoint[pd], base)
 			}
-			switch dp := info.DefPointOf[ins.Def]; {
-			case dp == -2:
-				info.DefPointOf[ins.Def] = base + m // block-end point
-			case dp <= -3:
-				info.DefPointOf[ins.Def] = base + (m - 1 - (-dp - 3))
-			}
-		}
-		for _, pd := range phiDefs {
-			info.DefPointOf[pd] = base // first point (or block end when m == 0)
 		}
 		info.Points = append(info.Points, endPoint)
 	}
@@ -352,19 +401,26 @@ func (info *Info) computePoints(liveOut []bitset.Set, arena *bitset.Arena, meter
 	return true
 }
 
-// LiveSets returns the distinct live sets over all program points, each
-// sorted, with duplicates removed. For a strict-SSA function, the maximal
-// ones among these are exactly the maximal cliques of the interference
-// graph.
-func (info *Info) LiveSets() [][]int {
-	intern := bitset.NewInterner(len(info.Points))
-	for _, p := range info.Points {
-		if len(p.Live) == 0 {
-			continue
-		}
-		intern.InternRef(p.Live)
+// snapshot copies the live list into an exact-size carving of arena.
+func snapshot(arena *bitset.Arena, live []int) []int {
+	return append(arena.Ints(len(live)), live...)
+}
+
+// insertAt inserts v at index i of the sorted list s, whose capacity must
+// leave room for it.
+func insertAt(s []int, i, v int) []int {
+	s = append(s, 0)
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+// fill sets every element of s to v and returns s.
+func fill(s []int, v int) []int {
+	for i := range s {
+		s[i] = v
 	}
-	return intern.Sets()
+	return s
 }
 
 // mergeSorted merges two sorted slices into out (an empty slice with enough

@@ -161,32 +161,6 @@ b0:
 	}
 }
 
-func TestLiveSetsDeduplicated(t *testing.T) {
-	f := ir.MustParse(`
-func s ssa {
-b0:
-  a = param 0
-  b = param 1
-  c = arith a, b
-  d = arith c, b
-  e = arith d, a
-  ret e
-}`)
-	info := Compute(f)
-	sets := info.LiveSets()
-	seen := map[string]bool{}
-	for _, s := range sets {
-		key := ""
-		for _, v := range s {
-			key += "," + f.NameOf(v)
-		}
-		if seen[key] {
-			t.Fatalf("duplicate live set %v", s)
-		}
-		seen[key] = true
-	}
-}
-
 func TestMaxLiveMatchesPointMaximum(t *testing.T) {
 	f := ir.MustParse(`
 func m ssa {

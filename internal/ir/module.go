@@ -16,24 +16,24 @@ type Module struct {
 // Module.String: a sequence of func blocks (each in the single-function
 // format accepted by Parse), separated by blank lines or comments. A source
 // holding exactly one function is a valid one-function module, so every
-// single-function .ir file is also a module file.
+// single-function .ir file is also a module file. Each function is parsed
+// and validated once, in place in src; the module check then only looks at
+// the function names.
 func ParseModule(src string) (*Module, error) {
+	p := parsers.Get().(*parser)
+	m, err := p.parseModule(src)
+	p.reset()
+	parsers.Put(p)
+	return m, err
+}
+
+// parseModule is ParseModule on the parser's memory.
+func (p *parser) parseModule(src string) (*Module, error) {
 	m := &Module{}
-	lines := strings.Split(src, "\n")
-	var chunk []string
-	chunkStart := 0
+	chunkStart, chunkOff := 0, 0
 	inFunc := false
-	flush := func(end int) error {
-		f, err := Parse(strings.Join(chunk, "\n"))
-		if err != nil {
-			return fmt.Errorf("ir: module func #%d (lines %d-%d): %w",
-				len(m.Funcs)+1, chunkStart+1, end+1, err)
-		}
-		m.Funcs = append(m.Funcs, f)
-		chunk = chunk[:0]
-		return nil
-	}
-	for lineNo, raw := range lines {
+	for lineNo, off := 0, 0; ; lineNo++ {
+		raw, _, more := strings.Cut(src[off:], "\n")
 		line := raw
 		if i := strings.IndexByte(line, ';'); i >= 0 {
 			line = line[:i]
@@ -41,31 +41,34 @@ func ParseModule(src string) (*Module, error) {
 		line = strings.TrimSpace(line)
 		switch {
 		case inFunc:
-			chunk = append(chunk, raw)
 			if line == "}" {
-				if err := flush(lineNo); err != nil {
-					return nil, err
+				f, err := p.parse(src[chunkOff : off+len(raw)])
+				p.reset()
+				if err != nil {
+					return nil, fmt.Errorf("ir: module func #%d (lines %d-%d): %w",
+						len(m.Funcs)+1, chunkStart+1, lineNo+1, err)
 				}
+				m.Funcs = append(m.Funcs, f)
 				inFunc = false
 			}
 		case strings.HasPrefix(line, "func "):
 			inFunc = true
-			chunkStart = lineNo
-			chunk = append(chunk, raw)
+			chunkStart, chunkOff = lineNo, off
 		case line == "":
 			// Blank lines and comments between functions.
 		default:
 			return nil, fmt.Errorf("ir: line %d: %q outside any function", lineNo+1, line)
 		}
+		if !more {
+			break
+		}
+		off += len(raw) + 1
 	}
 	if inFunc {
 		return nil, fmt.Errorf("ir: module func #%d (line %d): missing closing brace",
 			len(m.Funcs)+1, chunkStart+1)
 	}
-	if len(m.Funcs) == 0 {
-		return nil, fmt.Errorf("ir: module has no functions")
-	}
-	if err := m.Validate(); err != nil {
+	if err := m.check(false); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -97,7 +100,11 @@ func (m *Module) String() string {
 
 // Validate checks every function and that function names are unique within
 // the module (the batch front-end addresses results by name).
-func (m *Module) Validate() error {
+func (m *Module) Validate() error { return m.check(true) }
+
+// check reports the first empty or repeated function name and, with
+// funcs, the first invalid function, in module order.
+func (m *Module) check(funcs bool) error {
 	if len(m.Funcs) == 0 {
 		return fmt.Errorf("ir: module has no functions")
 	}
@@ -110,6 +117,9 @@ func (m *Module) Validate() error {
 			return fmt.Errorf("ir: duplicate function %q in module", f.Name)
 		}
 		seen[f.Name] = true
+		if !funcs {
+			continue
+		}
 		if err := f.Validate(); err != nil {
 			return fmt.Errorf("ir: module func %s: %w", f.Name, err)
 		}

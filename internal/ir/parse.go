@@ -2,9 +2,11 @@ package ir
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode"
 )
 
 // Parse reads a function in the textual format produced by Func.String.
@@ -38,37 +40,19 @@ import (
 // clobber set: v = call a, b !clobbers=r0,r1,f0. Registers are named r<i>
 // (GPR) and f<i> (FP). Annotations only constrain machine-aware allocation;
 // machine-less runs ignore them.
+//
+// Parsing takes two passes over pooled memory. The first reads the text
+// into the parser's reusable tables (name lookups, instructions, one operand
+// buffer) and so counts the blocks, instructions and operand ints; the
+// second carves the Func from exact-size slabs the way Func.Clone does. The
+// returned Func shares no memory with the pool: its names are substrings of
+// src, and everything else is its own.
 func Parse(src string) (*Func, error) {
-	p := &parser{
-		f:         &Func{ValueName: make(map[int]string)},
-		valueIDs:  make(map[string]int),
-		blockIDs:  make(map[string]int),
-		phiFixups: nil,
-	}
-	lines := strings.Split(src, "\n")
-	for lineNo, raw := range lines {
-		line := raw
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		if err := p.line(line); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
-		}
-	}
-	if !p.closed {
-		return nil, fmt.Errorf("ir: missing closing brace")
-	}
-	if err := p.resolve(); err != nil {
-		return nil, err
-	}
-	if err := p.f.Validate(); err != nil {
-		return nil, err
-	}
-	return p.f, nil
+	p := parsers.Get().(*parser)
+	f, err := p.parse(src)
+	p.reset()
+	parsers.Put(p)
+	return f, err
 }
 
 // MustParse is Parse that panics on error; intended for tests and examples
@@ -81,27 +65,121 @@ func MustParse(src string) *Func {
 	return f
 }
 
+// parsers pools parser state across calls of Parse and ParseModule.
+var parsers = sync.Pool{New: func() any {
+	return &parser{valueIDs: make(map[string]int), blockIDs: make(map[string]int)}
+}}
+
+// span locates a list in parser.ints or parser.labels; n < 0 marks a nil
+// list, which the built Func keeps nil.
+type span struct{ off, n int }
+
+var nilSpan = span{n: -1}
+
+// pblock is a parsed block: its label and the index of its first
+// instruction in parser.instrs (a block's instructions run to the next
+// block's first).
+type pblock struct {
+	name  string
+	first int
+}
+
+// pinstr is a parsed instruction, its lists held as spans of parser.ints.
+type pinstr struct {
+	op                      Op
+	def                     int
+	imm                     int64
+	uses, targets, clobbers span
+}
+
+// fixup is a branch's target labels or a phi's predecessor labels,
+// resolved once every block is known.
+type fixup struct {
+	block, instr int
+	labels       span
+}
+
+// parser is the reusable state of one parse. f is the result under
+// construction: the header fields and the class and pre-color maps are set
+// on it while reading, the blocks when it is built.
 type parser struct {
-	f        *Func
-	cur      *Block
-	valueIDs map[string]int
-	blockIDs map[string]int
-	closed   bool
-	started  bool
-	// Branch targets and phi predecessor labels are resolved after all
-	// blocks are known.
-	branchFixups []branchFixup
-	phiFixups    []phiFixup
+	f               *Func
+	cur             int // current block, -1 before the first label
+	started, closed bool
+	valueIDs        map[string]int
+	blockIDs        map[string]int
+	names           []string // value ID → name
+	blocks          []pblock
+	instrs          []pinstr
+	ints            []int    // operands, clobber sets and branch targets
+	labels          []string // branch targets and phi predecessors, by name
+	branches, phis  []fixup
+	// preds[predOff[b]:predOff[b+1]] lists block b's predecessors.
+	predOff, preds []int
+	order          []int  // one phi's operands in predecessor order
+	seen           []bool // predecessor slots a phi operand already took
+	scratch        Scratch
 }
 
-type branchFixup struct {
-	block, instr int
-	labels       []string
+// maxPooledNames bounds the name tables a pooled parser keeps: clearing a
+// map costs its capacity, so after a giant function the tables are dropped
+// rather than cleared on every later small parse.
+const maxPooledNames = 1024
+
+// reset empties the parser for the next parse and drops its references to
+// the last source.
+func (p *parser) reset() {
+	if len(p.valueIDs) > maxPooledNames {
+		p.valueIDs = make(map[string]int)
+	} else {
+		clear(p.valueIDs)
+	}
+	if len(p.blockIDs) > maxPooledNames {
+		p.blockIDs = make(map[string]int)
+	} else {
+		clear(p.blockIDs)
+	}
+	clear(p.names)
+	clear(p.blocks)
+	clear(p.labels)
+	p.f = nil
+	p.names, p.blocks, p.labels = p.names[:0], p.blocks[:0], p.labels[:0]
+	p.instrs, p.ints = p.instrs[:0], p.ints[:0]
+	p.branches, p.phis = p.branches[:0], p.phis[:0]
 }
 
-type phiFixup struct {
-	block, instr int
-	predLabels   []string
+// parse is Parse on the parser's memory; p must be reset.
+func (p *parser) parse(src string) (*Func, error) {
+	p.f = &Func{}
+	p.cur = -1
+	p.started, p.closed = false, false
+	for lineNo := 1; ; lineNo++ {
+		raw, rest, more := strings.Cut(src, "\n")
+		line := raw
+		if i := strings.IndexByte(line, ';'); i >= 0 {
+			line = line[:i]
+		}
+		if line = strings.TrimSpace(line); line != "" {
+			if err := p.line(line); err != nil {
+				return nil, fmt.Errorf("line %d: %w", lineNo, err)
+			}
+		}
+		if !more {
+			break
+		}
+		src = rest
+	}
+	if !p.closed {
+		return nil, fmt.Errorf("ir: missing closing brace")
+	}
+	if err := p.resolve(); err != nil {
+		return nil, err
+	}
+	f := p.build()
+	if _, err := p.scratch.ValidateAnalyzed(f); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 func (p *parser) line(line string) error {
@@ -112,17 +190,16 @@ func (p *parser) line(line string) error {
 		}
 		p.started = true
 		rest := strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(line, "func ")), "{")
-		fields := strings.Fields(rest)
-		if len(fields) == 0 {
+		name, rest := cutField(rest)
+		if name == "" {
 			return fmt.Errorf("ir: func header missing name")
 		}
-		p.f.Name = fields[0]
-		for _, fl := range fields[1:] {
-			if fl == "ssa" {
-				p.f.SSA = true
-			} else {
+		p.f.Name = name
+		for fl, rest := cutField(rest); fl != ""; fl, rest = cutField(rest) {
+			if fl != "ssa" {
 				return fmt.Errorf("ir: unknown func attribute %q", fl)
 			}
+			p.f.SSA = true
 		}
 		return nil
 	case line == "}":
@@ -142,11 +219,12 @@ func (p *parser) line(line string) error {
 		if _, dup := p.blockIDs[name]; dup {
 			return fmt.Errorf("ir: duplicate block %q", name)
 		}
-		p.cur = p.f.AddBlock(name)
-		p.blockIDs[name] = p.cur.ID
+		p.cur = len(p.blocks)
+		p.blockIDs[name] = p.cur
+		p.blocks = append(p.blocks, pblock{name: name, first: len(p.instrs)})
 		return nil
 	default:
-		if p.cur == nil {
+		if p.cur < 0 {
 			return fmt.Errorf("ir: instruction before first block label")
 		}
 		return p.instr(line)
@@ -164,118 +242,109 @@ func (p *parser) instr(line string) error {
 		line = strings.TrimSpace(line[:bang])
 	}
 	var defName string
-	if eq := strings.Index(line, "="); eq >= 0 && !strings.Contains(line[:eq], "[") {
+	if eq := strings.IndexByte(line, '='); eq >= 0 && strings.IndexByte(line[:eq], '[') < 0 {
 		defName = strings.TrimSpace(line[:eq])
 		line = strings.TrimSpace(line[eq+1:])
 	}
 	op, rest, _ := strings.Cut(line, " ")
 	rest = strings.TrimSpace(rest)
-	ins := Instr{Def: NoValue}
+	ins := pinstr{def: NoValue, uses: nilSpan, targets: nilSpan, clobbers: nilSpan}
 	var err error
 	switch op {
 	case "const", "param":
-		ins.Op = OpConst
+		ins.op = OpConst
 		if op == "param" {
-			ins.Op = OpParam
+			ins.op = OpParam
 		}
-		ins.Imm, err = strconv.ParseInt(rest, 10, 64)
+		ins.imm, err = strconv.ParseInt(rest, 10, 64)
 		if err != nil {
 			return fmt.Errorf("ir: bad %s immediate %q", op, rest)
 		}
-	case "arith":
-		ins.Op = OpArith
-		if ins.Uses, err = p.valueList(rest, 2); err != nil {
+	case "arith", "store":
+		ins.op = OpArith
+		if op == "store" {
+			ins.op = OpStore
+		}
+		if ins.uses, err = p.operands(rest, 2); err != nil {
 			return err
 		}
-	case "unary", "copy", "load":
+	case "unary", "copy", "load", "spill":
 		switch op {
 		case "unary":
-			ins.Op = OpUnary
+			ins.op = OpUnary
 		case "copy":
-			ins.Op = OpCopy
+			ins.op = OpCopy
+		case "load":
+			ins.op = OpLoad
 		default:
-			ins.Op = OpLoad
+			ins.op = OpSpill
 		}
-		if ins.Uses, err = p.valueList(rest, 1); err != nil {
+		if ins.uses, err = p.operands(rest, 1); err != nil {
 			return err
 		}
-	case "call":
-		ins.Op = OpCall
+	case "call", "ret":
+		ins.op = OpCall
+		want := -1
+		if op == "ret" {
+			ins.op, want = OpReturn, 1
+		}
 		if rest != "" {
-			if ins.Uses, err = p.valueList(rest, -1); err != nil {
+			if ins.uses, err = p.operands(rest, want); err != nil {
 				return err
 			}
 		}
 	case "reload":
-		ins.Op = OpReload
+		ins.op = OpReload
 		// The optional operand names the spill slot; it is carried in Imm,
 		// not Uses, so it does not extend the spilled value's live range.
-		ins.Imm = -1
+		ins.imm = -1
 		if rest != "" {
 			if !isIdent(rest) {
 				return fmt.Errorf("ir: bad reload slot %q", rest)
 			}
-			ins.Imm = int64(p.value(rest))
-		}
-	case "store":
-		ins.Op = OpStore
-		if ins.Uses, err = p.valueList(rest, 2); err != nil {
-			return err
-		}
-	case "spill":
-		ins.Op = OpSpill
-		if ins.Uses, err = p.valueList(rest, 1); err != nil {
-			return err
+			ins.imm = int64(p.value(rest))
 		}
 	case "phi":
-		ins.Op = OpPhi
-		preds, uses, err := p.phiOperands(rest)
-		if err != nil {
+		ins.op = OpPhi
+		if ins.uses, err = p.phiOperands(rest); err != nil {
 			return err
 		}
-		ins.Uses = uses
-		p.phiFixups = append(p.phiFixups, phiFixup{
-			block: p.cur.ID, instr: len(p.cur.Instrs), predLabels: preds,
-		})
 	case "br":
-		ins.Op = OpBranch
+		ins.op = OpBranch
 		if !isIdent(rest) {
 			return fmt.Errorf("ir: bad branch target %q", rest)
 		}
-		p.branchFixups = append(p.branchFixups, branchFixup{
-			block: p.cur.ID, instr: len(p.cur.Instrs), labels: []string{rest},
+		p.branches = append(p.branches, fixup{
+			block: p.cur, instr: len(p.instrs), labels: span{len(p.labels), 1},
 		})
+		p.labels = append(p.labels, rest)
 	case "condbr":
-		ins.Op = OpCondBr
-		parts := splitComma(rest)
-		if len(parts) != 3 {
+		ins.op = OpCondBr
+		if countList(rest) != 3 {
 			return fmt.Errorf("ir: condbr needs cond and two targets, got %q", rest)
 		}
-		if !isIdent(parts[0]) {
-			return fmt.Errorf("ir: bad condbr condition %q", parts[0])
+		cond, targets, _ := strings.Cut(rest, ",")
+		if cond = strings.TrimSpace(cond); !isIdent(cond) {
+			return fmt.Errorf("ir: bad condbr condition %q", cond)
 		}
-		ins.Uses = []int{p.value(parts[0])}
-		p.branchFixups = append(p.branchFixups, branchFixup{
-			block: p.cur.ID, instr: len(p.cur.Instrs), labels: parts[1:],
+		ins.uses = span{len(p.ints), 1}
+		p.ints = append(p.ints, p.value(cond))
+		then, els, _ := strings.Cut(targets, ",")
+		p.branches = append(p.branches, fixup{
+			block: p.cur, instr: len(p.instrs), labels: span{len(p.labels), 2},
 		})
-	case "ret":
-		ins.Op = OpReturn
-		if rest != "" {
-			if ins.Uses, err = p.valueList(rest, 1); err != nil {
-				return err
-			}
-		}
+		p.labels = append(p.labels, strings.TrimSpace(then), strings.TrimSpace(els))
 	default:
 		return fmt.Errorf("ir: unknown opcode %q", op)
 	}
-	if ins.Op.HasDef() {
+	if ins.op.HasDef() {
 		if defName == "" {
 			return fmt.Errorf("ir: %s requires a result value", op)
 		}
 		if !isIdent(defName) {
 			return fmt.Errorf("ir: bad result name %q", defName)
 		}
-		ins.Def = p.value(defName)
+		ins.def = p.value(defName)
 	} else if defName != "" {
 		return fmt.Errorf("ir: %s does not produce a value", op)
 	}
@@ -284,34 +353,34 @@ func (p *parser) instr(line string) error {
 			return err
 		}
 	}
-	p.cur.Instrs = append(p.cur.Instrs, ins)
+	p.instrs = append(p.instrs, ins)
 	return nil
 }
 
 // annotations applies the trailing !-attributes of one instruction: a def
 // class, a def pre-color, or a call clobber set.
-func (p *parser) annotations(ins *Instr, s string) error {
+func (p *parser) annotations(ins *pinstr, s string) error {
+	f := p.f
 	setClass := func(c Class, explicitPin bool) error {
-		if !ins.Op.HasDef() || ins.Def == NoValue {
-			return fmt.Errorf("ir: class/pin annotation on %s, which defines no value", ins.Op)
+		if !ins.op.HasDef() || ins.def == NoValue {
+			return fmt.Errorf("ir: class/pin annotation on %s, which defines no value", ins.op)
 		}
-		if have, ok := p.f.ValueClass[ins.Def]; ok && have != c {
+		have, ok := f.ValueClass[ins.def]
+		if ok && have != c {
 			return fmt.Errorf("ir: value %s annotated with conflicting classes %s and %s",
-				p.f.NameOf(ins.Def), have, c)
+				p.names[ins.def], have, c)
 		}
 		if c != ClassGPR {
-			p.f.SetClass(ins.Def, c)
-		} else if explicitPin {
+			f.SetClass(ins.def, c)
+		} else if explicitPin && ok && have != ClassGPR {
 			// An explicit GPR pin must still clash with a previous !fp.
-			if have, ok := p.f.ValueClass[ins.Def]; ok && have != ClassGPR {
-				return fmt.Errorf("ir: value %s annotated with conflicting classes %s and %s",
-					p.f.NameOf(ins.Def), have, ClassGPR)
-			}
+			return fmt.Errorf("ir: value %s annotated with conflicting classes %s and %s",
+				p.names[ins.def], have, ClassGPR)
 		}
 		return nil
 	}
-	for _, tok := range strings.Fields(s) {
-		if !strings.HasPrefix(tok, "!") {
+	for tok, rest := cutField(s); tok != ""; tok, rest = cutField(rest) {
+		if tok[0] != '!' {
 			return fmt.Errorf("ir: bad annotation %q", tok)
 		}
 		switch {
@@ -331,37 +400,33 @@ func (p *parser) annotations(ins *Instr, s string) error {
 			if err := setClass(RegClassOf(ref), RegClassOf(ref) == ClassGPR); err != nil {
 				return err
 			}
-			if have, ok := p.f.PreColor[ins.Def]; ok && have != ref {
+			if have, ok := f.PreColor[ins.def]; ok && have != ref {
 				return fmt.Errorf("ir: value %s pinned to both %s and %s",
-					p.f.NameOf(ins.Def), RegName(have), RegName(ref))
+					p.names[ins.def], RegName(have), RegName(ref))
 			}
-			p.f.SetPreColor(ins.Def, ref)
+			f.SetPreColor(ins.def, ref)
 		case strings.HasPrefix(tok, "!clobbers="):
-			if ins.Op != OpCall {
-				return fmt.Errorf("ir: clobber annotation on %s (calls only)", ins.Op)
+			if ins.op != OpCall {
+				return fmt.Errorf("ir: clobber annotation on %s (calls only)", ins.op)
 			}
-			if ins.Clobbers != nil {
+			if ins.clobbers.n >= 0 {
 				return fmt.Errorf("ir: duplicate clobber annotation")
 			}
-			var refs []int
-			for _, name := range strings.Split(tok[len("!clobbers="):], ",") {
+			off := len(p.ints)
+			for list, more := tok[len("!clobbers="):], true; more; {
+				var name string
+				name, list, more = strings.Cut(list, ",")
 				ref, ok := ParseRegName(name)
 				if !ok {
 					return fmt.Errorf("ir: bad clobber register %q", name)
 				}
-				refs = append(refs, ref)
+				p.ints = append(p.ints, ref)
 			}
-			if len(refs) == 0 {
-				return fmt.Errorf("ir: empty clobber annotation")
-			}
-			sort.Ints(refs)
-			uniq := refs[:1]
-			for _, r := range refs[1:] {
-				if r != uniq[len(uniq)-1] {
-					uniq = append(uniq, r)
-				}
-			}
-			ins.Clobbers = uniq
+			refs := p.ints[off:]
+			slices.Sort(refs)
+			refs = slices.Compact(refs)
+			p.ints = p.ints[:off+len(refs)]
+			ins.clobbers = span{off, len(refs)}
 		default:
 			return fmt.Errorf("ir: unknown annotation %q", tok)
 		}
@@ -369,120 +434,238 @@ func (p *parser) annotations(ins *Instr, s string) error {
 	return nil
 }
 
+// value returns the ID of the value named name, numbering names in order of
+// first appearance.
 func (p *parser) value(name string) int {
-	if !isIdent(name) {
-		// Let validation surface it; allocate anyway to keep parsing going.
-		name = "!" + name
-	}
 	if id, ok := p.valueIDs[name]; ok {
 		return id
 	}
-	id := p.f.NewValue()
+	id := len(p.names)
 	p.valueIDs[name] = id
-	p.f.ValueName[id] = name
+	p.names = append(p.names, name)
 	return id
 }
 
-func (p *parser) valueList(s string, want int) ([]int, error) {
-	parts := splitComma(s)
-	if want >= 0 && len(parts) != want {
-		return nil, fmt.Errorf("ir: expected %d operands, got %q", want, s)
+// operands reads the comma-separated value names of s into p.ints: exactly
+// want of them, or any number when want < 0.
+func (p *parser) operands(s string, want int) (span, error) {
+	n := countList(s)
+	if want >= 0 && n != want {
+		return span{}, fmt.Errorf("ir: expected %d operands, got %q", want, s)
 	}
-	out := make([]int, len(parts))
-	for i, name := range parts {
-		if !isIdent(name) {
-			return nil, fmt.Errorf("ir: bad operand %q", name)
+	off := len(p.ints)
+	for range n {
+		var name string
+		name, s, _ = strings.Cut(s, ",")
+		if name = strings.TrimSpace(name); !isIdent(name) {
+			return span{}, fmt.Errorf("ir: bad operand %q", name)
 		}
-		out[i] = p.value(name)
+		p.ints = append(p.ints, p.value(name))
 	}
-	return out, nil
+	return span{off, n}, nil
 }
 
-// phiOperands parses "[b1: x], [b2: y]" into predecessor labels and values.
-func (p *parser) phiOperands(s string) (preds []string, uses []int, err error) {
-	for _, part := range splitComma(s) {
+// phiOperands reads "[b1: x], [b2: y]": the values into p.ints, returned
+// in text order, and the predecessor labels into p.labels, recorded as the
+// phi's fixup. A phi's operand list is never nil, even when it is empty.
+func (p *parser) phiOperands(s string) (span, error) {
+	n := countList(s)
+	uses, labels := span{len(p.ints), n}, span{len(p.labels), n}
+	for range n {
+		var part string
+		part, s, _ = strings.Cut(s, ",")
 		part = strings.TrimSpace(part)
 		if !strings.HasPrefix(part, "[") || !strings.HasSuffix(part, "]") {
-			return nil, nil, fmt.Errorf("ir: bad phi operand %q", part)
+			return span{}, fmt.Errorf("ir: bad phi operand %q", part)
 		}
-		inner := part[1 : len(part)-1]
-		label, val, ok := strings.Cut(inner, ":")
+		label, val, ok := strings.Cut(part[1:len(part)-1], ":")
 		if !ok {
-			return nil, nil, fmt.Errorf("ir: bad phi operand %q", part)
+			return span{}, fmt.Errorf("ir: bad phi operand %q", part)
 		}
 		label = strings.TrimSpace(label)
 		val = strings.TrimSpace(val)
 		if !isIdent(label) || !isIdent(val) {
-			return nil, nil, fmt.Errorf("ir: bad phi operand %q", part)
+			return span{}, fmt.Errorf("ir: bad phi operand %q", part)
 		}
-		preds = append(preds, label)
-		uses = append(uses, p.value(val))
+		p.labels = append(p.labels, label)
+		p.ints = append(p.ints, p.value(val))
 	}
-	return preds, uses, nil
+	p.phis = append(p.phis, fixup{block: p.cur, instr: len(p.instrs), labels: labels})
+	return uses, nil
 }
 
-// resolve patches branch targets, builds CFG edges, and reorders phi
-// operands to match predecessor order.
+// countList returns the number of comma-separated items in s: none when s
+// is blank.
+func countList(s string) int {
+	if strings.TrimSpace(s) == "" {
+		return 0
+	}
+	return strings.Count(s, ",") + 1
+}
+
+// cutField returns the first field of s and the text after it, with fields
+// separated by white space as strings.Fields separates them.
+func cutField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
+}
+
+// list returns the ints of s; nil for a nil or empty span.
+func (p *parser) list(s span) []int {
+	if s.n <= 0 {
+		return nil
+	}
+	return p.ints[s.off : s.off+s.n]
+}
+
+// terminator returns block b's final instruction if it is a terminator.
+func (p *parser) terminator(b int) *pinstr {
+	end := len(p.instrs)
+	if b+1 < len(p.blocks) {
+		end = p.blocks[b+1].first
+	}
+	if end == p.blocks[b].first || !p.instrs[end-1].op.IsTerminator() {
+		return nil
+	}
+	return &p.instrs[end-1]
+}
+
+// resolve patches branch targets, builds the predecessor lists (CFG edges
+// in terminator order), and reorders phi operands to match predecessor
+// order.
 func (p *parser) resolve() error {
-	for _, fx := range p.branchFixups {
-		ins := &p.f.Blocks[fx.block].Instrs[fx.instr]
-		for _, label := range fx.labels {
+	for _, fx := range p.branches {
+		off := len(p.ints)
+		for _, label := range p.labels[fx.labels.off : fx.labels.off+fx.labels.n] {
 			id, ok := p.blockIDs[label]
 			if !ok {
 				return fmt.Errorf("ir: undefined block %q", label)
 			}
-			ins.Targets = append(ins.Targets, id)
+			p.ints = append(p.ints, id)
 		}
+		p.instrs[fx.instr].targets = span{off, fx.labels.n}
 	}
-	// CFG edges in terminator order.
-	for _, b := range p.f.Blocks {
-		if t := b.Terminator(); t != nil {
-			for _, tgt := range t.Targets {
-				p.f.AddEdge(b.ID, tgt)
+	nb := len(p.blocks)
+	p.predOff = grow(p.predOff, nb+1)
+	clear(p.predOff)
+	for b := range nb {
+		if t := p.terminator(b); t != nil {
+			for _, tgt := range p.list(t.targets) {
+				p.predOff[tgt+1]++
 			}
 		}
 	}
-	for _, fx := range p.phiFixups {
-		blk := p.f.Blocks[fx.block]
-		ins := &blk.Instrs[fx.instr]
-		if len(fx.predLabels) != len(blk.Preds) {
-			return fmt.Errorf("ir: phi in %s has %d operands for %d predecessors",
-				blk.Name, len(fx.predLabels), len(blk.Preds))
+	for b := range nb {
+		p.predOff[b+1] += p.predOff[b]
+	}
+	// Fill each list through predOff[tgt] as a cursor, which leaves it at
+	// the start of the next list; shifting restores the offsets.
+	p.preds = grow(p.preds, p.predOff[nb])
+	for b := range nb {
+		if t := p.terminator(b); t != nil {
+			for _, tgt := range p.list(t.targets) {
+				p.preds[p.predOff[tgt]] = b
+				p.predOff[tgt]++
+			}
 		}
-		ordered := make([]int, len(blk.Preds))
-		seen := make([]bool, len(blk.Preds))
-		for k, label := range fx.predLabels {
+	}
+	copy(p.predOff[1:], p.predOff[:nb])
+	p.predOff[0] = 0
+	for _, fx := range p.phis {
+		preds := p.preds[p.predOff[fx.block]:p.predOff[fx.block+1]]
+		name := p.blocks[fx.block].name
+		if fx.labels.n != len(preds) {
+			return fmt.Errorf("ir: phi in %s has %d operands for %d predecessors",
+				name, fx.labels.n, len(preds))
+		}
+		p.order = grow(p.order, len(preds))
+		p.seen = grow(p.seen, len(preds))
+		clear(p.seen)
+		uses := p.list(p.instrs[fx.instr].uses)
+		for k, label := range p.labels[fx.labels.off : fx.labels.off+fx.labels.n] {
 			id, ok := p.blockIDs[label]
 			if !ok {
 				return fmt.Errorf("ir: phi references undefined block %q", label)
 			}
 			slot := -1
-			for j, pred := range blk.Preds {
-				if pred == id && !seen[j] {
+			for j, pred := range preds {
+				if pred == id && !p.seen[j] {
 					slot = j
 					break
 				}
 			}
 			if slot < 0 {
-				return fmt.Errorf("ir: phi in %s names non-predecessor %q", blk.Name, label)
+				return fmt.Errorf("ir: phi in %s names non-predecessor %q", name, label)
 			}
-			seen[slot] = true
-			ordered[slot] = ins.Uses[k]
+			p.seen[slot] = true
+			p.order[slot] = uses[k]
 		}
-		ins.Uses = ordered
+		copy(uses, p.order)
 	}
 	return nil
 }
 
-func splitComma(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
+// build carves the parsed function into f: one Block slab, one Instr slab
+// and one exact-size int slab for every use, target, clobber, predecessor
+// and successor list, laid out as Func.Clone lays them out.
+func (p *parser) build() *Func {
+	f := p.f
+	nb, ni := len(p.blocks), len(p.instrs)
+	total := 2 * len(p.preds) // each CFG edge is one predecessor and one successor
+	for i := range p.instrs {
+		in := &p.instrs[i]
+		total += max(in.uses.n, 0) + max(in.targets.n, 0) + max(in.clobbers.n, 0)
 	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
+	slab := make([]int, 0, total)
+	carve := func(s []int, keep bool) []int {
+		if !keep {
+			return nil
+		}
+		start := len(slab)
+		slab = append(slab, s...)
+		return slab[start:len(slab):len(slab)]
 	}
-	return parts
+	blocks := make([]Block, nb)
+	instrs := make([]Instr, ni)
+	f.Blocks = make([]*Block, nb)
+	for b := range blocks {
+		pb := &p.blocks[b]
+		preds := p.preds[p.predOff[b]:p.predOff[b+1]]
+		blk := &blocks[b]
+		blk.ID, blk.Name = b, pb.name
+		blk.Preds = carve(preds, len(preds) > 0)
+		if t := p.terminator(b); t != nil {
+			blk.Succs = carve(p.list(t.targets), t.targets.n > 0)
+		}
+		end := ni
+		if b+1 < nb {
+			end = p.blocks[b+1].first
+		}
+		for i := pb.first; i < end; i++ {
+			in := &p.instrs[i]
+			instrs[i] = Instr{
+				Op:       in.op,
+				Def:      in.def,
+				Imm:      in.imm,
+				Uses:     carve(p.ints[in.uses.off:in.uses.off+max(in.uses.n, 0)], in.uses.n >= 0),
+				Targets:  carve(p.list(in.targets), in.targets.n >= 0),
+				Clobbers: carve(p.list(in.clobbers), in.clobbers.n >= 0),
+			}
+		}
+		if end > pb.first {
+			blk.Instrs = instrs[pb.first:end:end]
+		}
+		f.Blocks[b] = blk
+	}
+	f.NumValues = len(p.names)
+	f.ValueName = make(map[int]string, len(p.names))
+	for id, name := range p.names {
+		f.ValueName[id] = name
+	}
+	return f
 }
 
 func isIdent(s string) bool {

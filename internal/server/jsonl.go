@@ -110,6 +110,11 @@ type Response struct {
 // grow engines — and their pooled scratch — without limit.
 const EngineCacheCap = 64
 
+// maxRegisters bounds a configuration's register count. Allocation tables
+// grow with it, so a request for billions of registers would exhaust the
+// process's memory; no target has more than a few hundred.
+const maxRegisters = 1 << 12
+
 // EngineCache resolves one shared engine per (registers, allocator)
 // request configuration, bounded to EngineCacheCap entries with
 // least-recently-used eviction. Engines pool their analysis scratch
@@ -119,12 +124,20 @@ const EngineCacheCap = 64
 // configuration), so a re-built engine keeps hitting them.
 type EngineCache struct {
 	mu      sync.Mutex
-	m       map[string]*engineEntry
+	m       map[engineKey]*engineEntry
 	shared  *regalloc.Cache // nil when the service runs cache-less
 	jobs    int             // worker count for module requests
 	seq     uint64
 	budget  regalloc.Budget // zero = unbounded
 	degrade bool
+}
+
+// engineKey is one request configuration. The names are lower-cased and
+// the coalescing policy canonical, so alias spellings share one engine.
+type engineKey struct {
+	regs           int
+	alloc, machine string
+	policy         regalloc.CoalescePolicy
 }
 
 type engineEntry struct {
@@ -158,14 +171,18 @@ func (c *EngineCache) SetBudget(b regalloc.Budget, degrade bool) {
 // allocation on the named target, instantiated at regs registers; a
 // non-empty coalesce names the coalescing policy ("off", "aggressive",
 // "conservative"/"briggs") and biases assignment accordingly. The key folds
-// the canonical policy name, so alias spellings share one engine while
-// distinct policies never do (bias changes assignments, never spills).
+// the canonical policy, so alias spellings share one engine while distinct
+// policies never do (bias changes assignments, never spills). A register
+// count over maxRegisters is an ErrInvalidConfig error.
 func (c *EngineCache) Get(regs int, allocName, machine, coalesce string) (*regalloc.Engine, error) {
+	if regs > maxRegisters {
+		return nil, fmt.Errorf("%w: %d registers, over the service limit of %d", raerr.ErrInvalidConfig, regs, maxRegisters)
+	}
 	pol, err := regalloc.CoalescePolicyByName(coalesce)
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("%d\x00%s\x00%s\x00%s", regs, strings.ToLower(allocName), strings.ToLower(machine), pol)
+	key := engineKey{regs, strings.ToLower(allocName), strings.ToLower(machine), pol}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
@@ -197,11 +214,11 @@ func (c *EngineCache) Get(regs int, allocName, machine, coalesce string) (*regal
 		return nil, err
 	}
 	if c.m == nil {
-		c.m = make(map[string]*engineEntry)
+		c.m = make(map[engineKey]*engineEntry)
 	}
 	c.m[key] = &engineEntry{eng: eng, used: c.seq}
 	if len(c.m) > EngineCacheCap {
-		var lruKey string
+		var lruKey engineKey
 		lru := uint64(1<<64 - 1)
 		for k, e := range c.m {
 			if e.used < lru {

@@ -38,6 +38,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/regalloc"
@@ -340,7 +341,10 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 
 	obs := serverObserver{s.metrics}
 	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	bufs := requestBuffers.Get().(*requestBuffer)
+	defer bufs.release()
+	body, err := readBody(bufs.body, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), min(r.ContentLength, s.cfg.MaxBodyBytes))
+	bufs.body = body
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -381,11 +385,58 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	bufs.out = bufs.enc.append(bufs.out[:0], &resp)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(resp) // client gone mid-write: nothing useful to do
+	_, _ = w.Write(bufs.out) // client gone mid-write: nothing useful to do
 	obs.ObserveStage(StageEncode, time.Since(start).Seconds())
+}
+
+// requestBuffer is the reusable memory of one allocation request: its body,
+// its encoded response and the encoder's scratch. Decoding copies every
+// string out of the body, so nothing that outlives the request points into
+// it.
+type requestBuffer struct {
+	body, out []byte
+	enc       responseEncoder
+}
+
+var requestBuffers = sync.Pool{New: func() any { return new(requestBuffer) }}
+
+// maxPooledBuffer bounds the buffers a pooled requestBuffer keeps; a rare
+// huge request must not pin its memory in the pool.
+const maxPooledBuffer = 1 << 20
+
+func (b *requestBuffer) release() {
+	if cap(b.body) > maxPooledBuffer || cap(b.out) > maxPooledBuffer {
+		return
+	}
+	requestBuffers.Put(b)
+}
+
+// readBody reads r to its end into buf, as io.ReadAll does, reusing buf's
+// memory. A known content length sizes the buffer up front.
+func readBody(buf []byte, r io.Reader, length int64) ([]byte, error) {
+	buf = buf[:0]
+	if length >= int64(cap(buf)) && length < maxPooledBuffer {
+		buf = make([]byte, 0, length+1) // +1: the final read sees EOF without growing
+	}
+	if cap(buf) < 512 {
+		buf = make([]byte, 0, 512)
+	}
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 // writeJSONError answers an HTTP-level failure with the in-band error
@@ -393,5 +444,5 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 func writeJSONError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(Response{Error: msg})
+	_, _ = w.Write(appendResponse(nil, &Response{Error: msg}))
 }

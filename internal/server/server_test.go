@@ -55,6 +55,7 @@ func postRaw(t *testing.T, h http.Handler, body []byte) (*httptest.ResponseRecor
 	r := httptest.NewRequest("POST", "/v1/allocate", bytes.NewReader(body))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, r)
+	checkWireBody(t, w.Body.Bytes())
 	var resp Response
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("response is not JSON (%v): %s", err, w.Body.String())
@@ -482,4 +483,23 @@ func h2cTransport() http.RoundTripper {
 	p.SetHTTP1(false)
 	tr.Protocols = p
 	return tr
+}
+
+// TestRegisterCountBounded: a request for more registers than any target
+// has is answered with a typed configuration error instead of sizing
+// allocation tables by it, and such a default is a startup error.
+func TestRegisterCountBounded(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, regs := range []int{maxRegisters + 1, 1 << 40} {
+		w, resp := postJSON(t, s.Handler(), Request{IR: tinyFunc, Registers: regs})
+		if w.Code != http.StatusOK || !strings.Contains(resp.Error, "service limit") {
+			t.Errorf("%d registers: status %d, %+v", regs, w.Code, resp)
+		}
+	}
+	if _, resp := postJSON(t, s.Handler(), Request{IR: tinyFunc, Registers: maxRegisters}); resp.Error != "" {
+		t.Errorf("%d registers refused: %s", maxRegisters, resp.Error)
+	}
+	if _, err := New(Config{Registers: maxRegisters + 1}); err == nil {
+		t.Error("server with an unbounded default register count started")
+	}
 }

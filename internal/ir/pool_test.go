@@ -11,7 +11,7 @@ import (
 func TestParserReuseKeepsEarlierResult(t *testing.T) {
 	const srcA = "func a ssa {\nb0:\n  x = param 0\n  c = unary x\n  condbr c, b1, b2\nb1:\n  y = arith x, x\n  br b3\nb2:\n  z = call x !clobbers=r1,r0\n  br b3\nb3:\n  m = phi [b2: z], [b1: y]\n  ret m\n}\n"
 	const srcB = "func b {\nentry:\n  p = param 0\n  q = param 1\n  s = arith q, p\n  store s, p\n  br exit\nexit:\n  r = load s\n  ret r\n}\n"
-	p := &parser{valueIDs: make(map[string]int), blockIDs: make(map[string]int)}
+	p := parsers.New().(*parser)
 	a, err := p.parse(srcA)
 	if err != nil {
 		t.Fatal(err)

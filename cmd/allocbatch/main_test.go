@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/regalloc"
 	"repro/regalloc/service"
 )
 
@@ -116,6 +117,9 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{}, strings.NewReader("not a module"), &out); err == nil {
 		t.Error("bad stdin module accepted")
+	}
+	if err := run([]string{"-gen", "3", "-r", "1099511627776"}, strings.NewReader(""), &out); !errors.Is(err, regalloc.ErrInvalidConfig) {
+		t.Errorf("-r 1099511627776: err = %v, want ErrInvalidConfig", err)
 	}
 }
 

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/regalloc"
 	"repro/regalloc/workload"
 )
 
@@ -60,6 +62,9 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-file", corpus("loop.ir"), "-arch", "bogus"}, &out); err == nil {
 		t.Error("unknown arch accepted")
+	}
+	if err := run([]string{"-file", corpus("loop.ir"), "-r", "1099511627776"}, &out); !errors.Is(err, regalloc.ErrInvalidConfig) {
+		t.Errorf("-r 1099511627776: err = %v, want ErrInvalidConfig", err)
 	}
 	// A misspelt suite is rejected with the valid names.
 	err := run([]string{"-suite", "spec2000", "-prog", "gzip"}, &out)

@@ -46,16 +46,12 @@ func runExample(stdout io.Writer) error {
 	allocators := []string{"GC", "NL", "FPL", "BL", "BFPL", "Optimal"}
 	registers := []int{2, 4, 8, 16, 24}
 
-	probeEng, err := regalloc.New(regalloc.WithRegisters(1), regalloc.WithoutRewrite())
-	if err != nil {
-		return err
-	}
-	probe, err := probeEng.AllocateFunc(context.Background(), f)
+	shape, err := regalloc.Inspect(f)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "function %s: %d values, %d interference edges, MaxLive %d\n\n",
-		f.Name, probe.Problem.N(), probe.Problem.Graph().Graph.M(), probe.MaxLive)
+		f.Name, shape.Vertices, shape.Edges, shape.MaxLive)
 
 	w := tabwriter.NewWriter(stdout, 2, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprint(w, "R\t")

@@ -119,6 +119,17 @@ type Spec struct {
 // identical tie-break decisions; non-SSA (or structurally unusual) inputs
 // keep the maximum-cardinality-search order.
 func BuildProblem(s Spec) *Problem {
+	return BuildProblemInto(new(Problem), s)
+}
+
+// BuildProblemInto is BuildProblem overwriting dst, which it returns: every
+// field is replaced, the lazily materialized graph and the Meter included,
+// so nothing of dst's previous problem survives. On the Cliques and Build
+// paths the weights are fresh memory on every call — they never change
+// after the build, so a decision-level copy of the problem may keep them
+// past dst's next build; everything else references the structures the
+// spec carries.
+func BuildProblemInto(dst *Problem, s Spec) *Problem {
 	switch {
 	case s.Cliques != nil:
 		cs := s.Cliques
@@ -126,7 +137,7 @@ func BuildProblem(s Spec) *Problem {
 		for v := range w {
 			w[v] = s.Costs[cs.ValueOf[v]]
 		}
-		return &Problem{
+		*dst = Problem{
 			R:           s.R,
 			Weight:      w,
 			LiveSets:    cs.Sets,
@@ -136,18 +147,20 @@ func BuildProblem(s Spec) *Problem {
 			Cliques:     cs,
 			Constraints: s.Constraints,
 		}
+		return dst
 	case s.Build != nil:
 		b := s.Build
 		w := make([]float64, b.Graph.N())
 		for v := range w {
 			w[v] = s.Costs[b.ValueOf[v]]
 		}
-		p := &Problem{
+		*dst = Problem{
 			g:      graph.NewWeighted(b.Graph, w),
 			Weight: w,
 			R:      s.R,
 			Name:   b.F.Name,
 		}
+		p := dst
 		var domPEO []int
 		if b.F.SSA {
 			dom := s.Dom
@@ -176,10 +189,11 @@ func BuildProblem(s Spec) *Problem {
 		}
 		return p
 	case s.Graph != nil:
-		return &Problem{
+		*dst = Problem{
 			g: s.Graph, Weight: s.Graph.Weight, R: s.R,
 			LiveSets: s.LiveSets, Chordal: s.Chordal, PEO: s.PEO,
 		}
+		return dst
 	}
 	panic("alloc: BuildProblem spec carries no interference representation")
 }
@@ -209,9 +223,15 @@ func (p *Problem) N() int { return len(p.Weight) }
 
 // Graph returns the explicit weighted interference graph, materializing it
 // from the clique structure on first use when the problem came through the
-// fast path. The result is cached on the problem.
+// fast path. The result is cached on the problem. A decision-level problem
+// (the Problem of a pipeline Outcome: weights, R and chordality, no
+// interference representation) has no graph to give, and Graph panics on
+// it.
 func (p *Problem) Graph() *graph.Weighted {
 	if p.g == nil {
+		if p.Cliques == nil {
+			panic("alloc: Graph on a decision-level problem, which carries no interference graph or clique structure")
+		}
 		p.g = graph.NewWeighted(p.Cliques.BuildGraph(), p.Weight)
 	}
 	return p.g

@@ -201,7 +201,17 @@ func BuildIntervals(info *liveness.Info, b *ifg.Build) [][2]int {
 // without ever materializing a graph. Each interval is its value's span of
 // live points, read from liveness in O(NumValues).
 func IntervalsFromLiveness(info *liveness.Info, vertexOf []int, n int) [][2]int {
-	intervals := make([][2]int, n)
+	return IntervalsInto(nil, info, vertexOf, n)
+}
+
+// IntervalsInto is IntervalsFromLiveness writing into dst's memory when it
+// holds n intervals (a new slice otherwise); it returns the intervals.
+func IntervalsInto(dst [][2]int, info *liveness.Info, vertexOf []int, n int) [][2]int {
+	intervals := dst[:0]
+	if cap(intervals) < n {
+		intervals = make([][2]int, n)
+	}
+	intervals = intervals[:n]
 	for i := range intervals {
 		intervals[i] = [2]int{0, -1}
 	}

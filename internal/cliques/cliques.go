@@ -75,8 +75,8 @@ type Structure struct {
 	CliqueIdx []int32
 
 	degrees []int // lazy, see Degrees
-	// Memory a projected structure keeps for reuse by the next Project into
-	// it: the backing storage of Sets and the last degree table.
+	// Memory a structure keeps for reuse by the next DeriveBudget or Project
+	// into it: the backing storage of Sets and the last degree table.
 	setSlab []int
 	degBuf  []int
 }
@@ -196,24 +196,33 @@ func NewScratch() *Scratch { return &Scratch{intern: bitset.NewInterner(64)} }
 // nil on most non-applicable inputs, but Applicable is the documented
 // contract).
 func Derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch) *Structure {
-	return derive(info, dom, scratch, nil)
+	return derive(info, dom, nil, scratch, nil)
 }
 
-// DeriveBudget is Derive under a resource budget: each derivation phase
-// (vertex numbering, live-set interning, elimination order, membership
-// index) charges its input size before running. The return pair
+// DeriveBudget is Derive under a resource budget, writing into dst: each
+// derivation phase (vertex numbering, live-set interning, elimination order,
+// membership index) charges its input size before running. The return pair
 // distinguishes the two ways of coming back empty: (nil, error) when the
 // budget tripped mid-derivation, (nil, nil) when a structural assumption
 // failed and the caller should fall back to the explicit-graph path.
-func DeriveBudget(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, m *budget.Meter) (*Structure, error) {
-	s := derive(info, dom, scratch, m)
+//
+// dst follows Project's pattern: the result is dst itself, its sets, set
+// slab, def-point sets, elimination order, membership index and degree
+// table overwritten in the memory an earlier derivation left there (a nil
+// dst allocates a new Structure). VertexOf and ValueOf alone are fresh on
+// every derivation, so a caller may hand them out and keep them past dst's
+// next derivation.
+func DeriveBudget(info *liveness.Info, dom *ir.Dominance, dst *Structure, scratch *Scratch, m *budget.Meter) (*Structure, error) {
+	s := derive(info, dom, dst, scratch, m)
 	if s == nil && m.Exceeded() {
 		return nil, m.Err()
 	}
 	return s, nil
 }
 
-func derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, meter *budget.Meter) *Structure {
+// derive builds the clique structure into dst (nil: a new Structure), or
+// returns nil when a structural assumption fails or meter trips.
+func derive(info *liveness.Info, dom *ir.Dominance, dst *Structure, scratch *Scratch, meter *budget.Meter) *Structure {
 	if scratch == nil {
 		scratch = NewScratch()
 	}
@@ -223,7 +232,11 @@ func derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, meter *bud
 
 	f := info.F
 	nv := f.NumValues
-	s := &Structure{F: f, MaxLive: info.MaxLive}
+	s := dst
+	if s == nil {
+		s = &Structure{}
+	}
+	s.reset(f, info.MaxLive)
 
 	if !meter.Charge(nv + len(info.Points)) {
 		return nil // budget tripped before vertex numbering
@@ -284,7 +297,7 @@ func derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, meter *bud
 
 	// Def-point sets. Every vertex must have a recorded definition instant;
 	// a miss means the input was not the strict SSA shape this path is for.
-	s.DefSetOf = make([]int32, n)
+	s.DefSetOf = resizeInt32(s.DefSetOf, n)
 	for vx, val := range s.ValueOf {
 		dp := info.DefPointOf[val]
 		if dp < 0 || dp >= len(pointSet) || pointSet[dp] < 0 {
@@ -297,14 +310,15 @@ func derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, meter *bud
 	if !meter.Charge(n) {
 		return nil
 	}
-	s.PEO = dominancePEO(f, dom, s.VertexOf, n, arena)
-	if s.PEO == nil {
+	peo := dominancePEO(f, dom, s.VertexOf, n, s.PEO, arena)
+	if peo == nil {
 		return nil
 	}
+	s.PEO = peo
 
-	// Translate each distinct set once, straight into one exact-size
-	// retained slab (the interned sets belong to liveness). A live value
-	// without a vertex means the input was not what this path is for.
+	// Translate each distinct set once, straight into one exact-size slab
+	// (the interned sets belong to liveness). A live value without a vertex
+	// means the input was not what this path is for.
 	interned := intern.Sets()
 	total := 0
 	for _, set := range interned {
@@ -313,8 +327,15 @@ func derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, meter *bud
 	if !meter.Charge(n + total) {
 		return nil
 	}
-	slab := make([]int, total)
-	s.Sets = make([][]int, len(interned))
+	slab := s.setSlab
+	if cap(slab) < total {
+		slab = make([]int, total)
+	}
+	s.setSlab = slab[:total]
+	if cap(s.Sets) < len(interned) {
+		s.Sets = make([][]int, len(interned))
+	}
+	s.Sets = s.Sets[:len(interned)]
 	start := 0
 	for i, set := range interned {
 		out := slab[start : start+len(set) : start+len(set)]
@@ -328,6 +349,16 @@ func derive(info *liveness.Info, dom *ir.Dominance, scratch *Scratch, meter *bud
 	}
 	s.index(total, arena.Ints(n)[:n])
 	return s
+}
+
+// reset readies s to be overwritten with a structure of f: it records f and
+// its pressure peak and drops the cached degree table, keeping its memory
+// for the next Degrees.
+func (s *Structure) reset(f *ir.Func, maxLive int) {
+	if s.degrees != nil {
+		s.degBuf = s.degrees
+	}
+	s.F, s.MaxLive, s.degrees = f, maxLive, nil
 }
 
 // index builds the CSR membership index of s from its Sets, which hold
@@ -405,10 +436,8 @@ func (s *Structure) Project(include []bool, dst *Structure, scratch *Scratch) *S
 	if dst == nil {
 		dst = &Structure{}
 	}
-	if dst.degrees != nil {
-		dst.degBuf = dst.degrees
-	}
-	dst.F, dst.N, dst.degrees = s.F, n, nil
+	dst.reset(s.F, 0)
+	dst.N = n
 
 	if cap(dst.VertexOf) < len(s.VertexOf) {
 		dst.VertexOf = make([]int, len(s.VertexOf))
@@ -442,7 +471,6 @@ func (s *Structure) Project(include []bool, dst *Structure, scratch *Scratch) *S
 		scratch.setMap = make([]int32, len(s.Sets))
 	}
 	setMap := scratch.setMap[:len(s.Sets)]
-	dst.MaxLive = 0
 	vs := scratch.vsBuf
 	for i, set := range s.Sets {
 		vs = vs[:0]
@@ -480,10 +508,7 @@ func (s *Structure) Project(include []bool, dst *Structure, scratch *Scratch) *S
 
 	// A vertex's def-point set projects to the def-point set of the subset
 	// (it contains the vertex itself, so the projection is never empty).
-	if cap(dst.DefSetOf) < n {
-		dst.DefSetOf = make([]int32, n)
-	}
-	dst.DefSetOf = dst.DefSetOf[:n]
+	dst.DefSetOf = resizeInt32(dst.DefSetOf, n)
 	for vx, nx := range newOf {
 		if nx >= 0 {
 			dst.DefSetOf[nx] = setMap[s.DefSetOf[vx]]
@@ -502,14 +527,19 @@ func (s *Structure) Project(include []bool, dst *Structure, scratch *Scratch) *S
 // clique fast path exactly.
 func DominancePEO(f *ir.Func, dom *ir.Dominance, vertexOf []int, n int) []int {
 	var arena bitset.Arena
-	return dominancePEO(f, dom, vertexOf, n, &arena)
+	return dominancePEO(f, dom, vertexOf, n, nil, &arena)
 }
 
 // dominancePEO returns the vertices in reverse definition order along a
-// dominance-tree preorder, or nil when some vertex lacks a (unique)
-// definition in reachable code.
-func dominancePEO(f *ir.Func, dom *ir.Dominance, vertexOf []int, n int, arena *bitset.Arena) []int {
-	peo := make([]int, n)
+// dominance-tree preorder, written into dst's memory when it is large
+// enough, or nil when some vertex lacks a (unique) definition in reachable
+// code.
+func dominancePEO(f *ir.Func, dom *ir.Dominance, vertexOf []int, n int, dst []int, arena *bitset.Arena) []int {
+	peo := dst[:0]
+	if cap(peo) < n {
+		peo = make([]int, n)
+	}
+	peo = peo[:n]
 	next := n // fill from the back: first-defined vertex ends up last
 	seen := arena.Set(n)
 	emit := func(val int) bool {

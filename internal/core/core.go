@@ -56,7 +56,7 @@ import (
 
 // Config controls a pipeline run.
 type Config struct {
-	// Registers is the register count R (required, ≥ 1).
+	// Registers is the register count R (required, 1 ≤ R ≤ 4096).
 	Registers int
 	// Allocator selects the allocation algorithm. Nil picks the paper's
 	// best general-purpose chordal allocator (BFPL) for SSA functions and
@@ -143,14 +143,24 @@ type Degradation struct {
 	Reason *raerr.BudgetError
 }
 
-// Outcome bundles everything a client may want from one allocation run.
+// Outcome bundles everything a client may want from one allocation run. It
+// carries decisions only — the spill set and its cost, the register map,
+// the rewritten function, coalescing and degradation reports — and owns all
+// of its memory: the analysis behind it (clique structure, membership index,
+// interference graph, intervals) lives on the Runner and is overwritten by
+// the next run. A run's Outcome and the one an outcome-cache hit
+// materializes for the same function have one shape.
 type Outcome struct {
 	F *ir.Func
-	// Build is the explicit interference-graph build; nil on the IFG-free
-	// fast path (use Problem.Graph() to materialize one on demand).
-	Build *ifg.Build
-	// Cliques is the fast path's structure; nil on the explicit-graph path.
+	// Build and Cliques are never set by Run. They are kept only for the
+	// benchmark module's layer-by-layer replay (regbench), which assembles
+	// Outcomes from the layers' exported functions and records the analysis
+	// it built in them.
+	Build   *ifg.Build
 	Cliques *cliques.Structure
+	// Problem is decision-level: R, the per-vertex spill costs (Weight),
+	// Chordal and Name. It carries no live sets, elimination order, clique
+	// structure, intervals or graph (Problem.Graph panics on it).
 	Problem *alloc.Problem
 	Result  *alloc.Result
 	// VertexOf/ValueOf translate between value IDs and problem vertices
@@ -187,15 +197,16 @@ type Outcome struct {
 
 // Runner executes the pipeline repeatedly — the batch pipeline gives each
 // worker one. A warmed Runner's Run allocates only what the returned
-// Outcome keeps (problem, result, vertex maps, clique structure or graph,
-// register map, rewritten function): every table that dies with the call —
-// validation and dominance, loop depths, liveness and its Info, the
-// interners of the clique and graph builds, LH's clusters, the scan and its
-// verification, the rewrite's bookkeeping — lives on the Runner and is
-// recycled by the next call. Outcomes never reference that memory, so they
-// stay valid across subsequent Run calls. Run only reads its input
-// function, so one function may be allocated by several Runners at once; a
-// Runner itself is not safe for concurrent use.
+// Outcome keeps (result, vertex maps, weights, register map, rewritten
+// function): every table that dies with the call — validation and
+// dominance, loop depths, liveness and its Info, the clique structure with
+// its sets and membership index, the working allocation problem and its
+// intervals, LH's clusters, the scan and its verification, the rewrite's
+// bookkeeping — lives on the Runner and is recycled by the next call.
+// Outcomes never reference that memory, so they stay valid across
+// subsequent Run calls. Run only reads its input function, so one function
+// may be allocated by several Runners at once; a Runner itself is not safe
+// for concurrent use.
 type Runner struct {
 	ir   ir.Scratch
 	live *liveness.Scratch
@@ -220,7 +231,13 @@ type Runner struct {
 	// per-class state.
 	oneClass regassign.Constraints
 	con      constrainedScratch
-	cur      run
+	// The analysis of the current run, overwritten by the next: the clique
+	// structure, the working problem over it (or over the explicit graph)
+	// and the problem's live intervals.
+	structure cliques.Structure
+	prob      alloc.Problem
+	intervals [][2]int
+	cur       run
 }
 
 // run is the state of one Runner.Run call: its inputs and the analyses as
@@ -235,10 +252,14 @@ type run struct {
 	depth []int
 	m     *budget.Meter
 	info  *liveness.Info
+	// cs is the Runner's clique structure on the fast path, build the
+	// explicit graph otherwise; p is the Runner's working problem over
+	// either.
 	cs    *cliques.Structure
 	build *ifg.Build
 	p     *alloc.Problem
-	// vertexOf/valueOf translate between value IDs and p's vertices.
+	// vertexOf/valueOf translate between value IDs and p's vertices. They
+	// are fresh on every run and handed to the Outcome.
 	vertexOf, valueOf []int
 	// rc is the scan's register file: the machine's classes, pins and bans,
 	// or one GPR class of capacity R.
@@ -269,6 +290,9 @@ func Run(f *ir.Func, cfg Config) (*Outcome, error) {
 func (r *Runner) Run(f *ir.Func, cfg Config) (*Outcome, error) {
 	if cfg.Registers < 1 {
 		return nil, fmt.Errorf("%w: Registers must be ≥ 1, got %d", raerr.ErrInvalidConfig, cfg.Registers)
+	}
+	if err := CheckRegisters(cfg.Registers); err != nil {
+		return nil, err
 	}
 	if !cfg.TrustedCostModel {
 		if err := cfg.CostModel.Validate(); err != nil {
@@ -319,14 +343,15 @@ func (r *Runner) Run(f *ir.Func, cfg Config) (*Outcome, error) {
 	// strict SSA (the fast path), explicit graph otherwise.
 	d.m.SetStage(raerr.StageCliques)
 	if fast {
-		if d.cs, err = cliques.DeriveBudget(info, dom, r.cs, d.m); err != nil {
+		if d.cs, err = cliques.DeriveBudget(info, dom, &r.structure, r.cs, d.m); err != nil {
 			return r.fail(d, raerr.StageCliques, err)
 		}
 	}
 	switch {
 	case d.cs != nil:
-		d.p = alloc.BuildProblem(alloc.Spec{Cliques: d.cs, Costs: r.costs, R: cfg.Registers, Constraints: cons})
-		d.p.Intervals = linearscan.IntervalsFromLiveness(info, d.cs.VertexOf, d.cs.N)
+		d.p = alloc.BuildProblemInto(&r.prob, alloc.Spec{Cliques: d.cs, Costs: r.costs, R: cfg.Registers, Constraints: cons})
+		r.intervals = linearscan.IntervalsInto(r.intervals, info, d.cs.VertexOf, d.cs.N)
+		d.p.Intervals = r.intervals
 		d.vertexOf, d.valueOf = d.cs.VertexOf, d.cs.ValueOf
 	case cons != nil:
 		return nil, &raerr.FuncError{Func: f.Name, Stage: "constrain",
@@ -338,8 +363,9 @@ func (r *Runner) Run(f *ir.Func, cfg Config) (*Outcome, error) {
 			return r.fail(d, raerr.StageCliques, d.m.Err())
 		}
 		d.build = r.ifg.FromLiveness(info)
-		d.p = alloc.BuildProblem(alloc.Spec{Build: d.build, Costs: r.costs, R: cfg.Registers, Dom: dom})
-		d.p.Intervals = linearscan.BuildIntervals(info, d.build)
+		d.p = alloc.BuildProblemInto(&r.prob, alloc.Spec{Build: d.build, Costs: r.costs, R: cfg.Registers, Dom: dom})
+		r.intervals = linearscan.IntervalsInto(r.intervals, info, d.build.VertexOf, d.build.Graph.N())
+		d.p.Intervals = r.intervals
 		d.vertexOf, d.valueOf = d.build.VertexOf, d.build.ValueOf
 	}
 
@@ -379,6 +405,22 @@ func (r *Runner) Run(f *ir.Func, cfg Config) (*Outcome, error) {
 	}
 	out.BudgetSpent = d.m.Spent()
 	return out, nil
+}
+
+// maxRegisters bounds Config.Registers. The assigner's tables grow with the
+// register count, so a request for billions of registers would exhaust the
+// process's memory; no target has more than a few hundred.
+const maxRegisters = 1 << 12
+
+// CheckRegisters reports a register count over the limit every run
+// enforces as an ErrInvalidConfig error. Callers that validate a
+// configuration before its first run (regalloc.New) fail early on it. The
+// wording is the allocation service's, whose in-band answer carries it.
+func CheckRegisters(n int) error {
+	if n > maxRegisters {
+		return fmt.Errorf("%w: %d registers, over the service limit of %d", raerr.ErrInvalidConfig, n, maxRegisters)
+	}
+	return nil
 }
 
 // fail ends a run whose budget tripped in stage: with a typed error, or —
@@ -576,14 +618,20 @@ func (r *Runner) assign(d *run, res *alloc.Result, meter *budget.Meter, biased b
 	return regOf, coal, nil
 }
 
-// outcomeFrom assembles the Outcome common to every ladder rung: problem,
-// result, vertex maps, spilled-value list and spill cost.
+// outcomeFrom assembles the Outcome common to every ladder rung: the
+// decision-level problem, result, vertex maps, spilled-value list and spill
+// cost. It shares nothing with the Runner: the weights and vertex maps are
+// fresh on every run.
 func outcomeFrom(d *run, res *alloc.Result) *Outcome {
-	out := &Outcome{
+	// One allocation holds the Outcome and its Problem.
+	o := &struct {
+		out Outcome
+		p   alloc.Problem
+	}{p: alloc.Problem{R: d.p.R, Weight: d.p.Weight, Chordal: d.p.Chordal, Name: d.p.Name}}
+	out := &o.out
+	*out = Outcome{
 		F:         d.f,
-		Build:     d.build,
-		Cliques:   d.cs,
-		Problem:   d.p,
+		Problem:   &o.p,
 		Result:    res,
 		VertexOf:  d.vertexOf,
 		ValueOf:   d.valueOf,

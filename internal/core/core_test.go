@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/alloc/optimal"
 	"repro/internal/ir"
 	"repro/internal/liveness"
+	"repro/internal/raerr"
 	"repro/internal/regassign"
 	"repro/internal/spillcost"
 )
@@ -129,6 +131,21 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	f := ir.MustParse(loopSrc)
 	if _, err := Run(f, Config{Registers: 0}); err == nil {
 		t.Fatal("R=0 accepted")
+	}
+}
+
+// TestRunRejectsHugeRegisterCount: a register count beyond any target is a
+// typed configuration error before any table is sized by it (at 1<<40 the
+// assigner's tables alone would exhaust memory).
+func TestRunRejectsHugeRegisterCount(t *testing.T) {
+	f := ir.MustParse(loopSrc)
+	for _, regs := range []int{maxRegisters + 1, 1 << 40} {
+		if _, err := Run(f, Config{Registers: regs}); !errors.Is(err, raerr.ErrInvalidConfig) {
+			t.Errorf("%d registers: err = %v, want ErrInvalidConfig", regs, err)
+		}
+	}
+	if _, err := Run(f, Config{Registers: maxRegisters}); err != nil {
+		t.Errorf("%d registers refused: %v", maxRegisters, err)
 	}
 }
 

@@ -31,18 +31,19 @@ func comparePaths(t *testing.T, f *ir.Func, allocName string, r int) {
 		t.Fatal(err)
 	}
 	a2, _ := AllocatorByName(allocName)
-	fast, errFast := Run(f, Config{Registers: r, Allocator: a1})
-	legacy, errLegacy := Run(f, Config{Registers: r, Allocator: a2, legacyIFG: true})
+	fastRunner, legacyRunner := NewRunner(), NewRunner()
+	fast, errFast := fastRunner.Run(f, Config{Registers: r, Allocator: a1})
+	legacy, errLegacy := legacyRunner.Run(f, Config{Registers: r, Allocator: a2, legacyIFG: true})
 	if (errFast != nil) != (errLegacy != nil) {
 		t.Fatalf("%s alloc=%s R=%d: fast err=%v legacy err=%v", f.Name, allocName, r, errFast, errLegacy)
 	}
 	if errFast != nil {
 		return
 	}
-	if fast.Cliques == nil {
+	if fastRunner.cur.cs == nil {
 		t.Fatalf("%s alloc=%s R=%d: fast run did not take the fast path", f.Name, allocName, r)
 	}
-	if legacy.Build == nil {
+	if legacyRunner.cur.build == nil {
 		t.Fatalf("%s alloc=%s R=%d: legacy run did not build an IFG", f.Name, allocName, r)
 	}
 	if fast.SpillCost != legacy.SpillCost {

@@ -47,9 +47,8 @@ type Entry struct {
 	bytes      int64
 }
 
-// NewEntry deep-copies out into a cache entry. The outcome's analysis
-// structures (interference graph, clique structure, live sets) are
-// deliberately dropped: cached outcomes are decision-level, which is what
+// NewEntry deep-copies out into a cache entry. Outcomes are decision-level
+// (no interference graph, clique structure or live sets), which is what
 // keeps a hit at ~hash+copy cost.
 func NewEntry(out *core.Outcome) *Entry {
 	e := &Entry{
@@ -87,8 +86,8 @@ func NewEntry(out *core.Outcome) *Entry {
 // copied (a hit receiver owns its outcome outright — mutating it cannot
 // poison the cache) and all naming is re-bound to f, so a hit is
 // byte-identical to what a full run on f would have produced. The returned
-// outcome carries a decision-level Problem (weights, R, chordality) with
-// no interference representation attached.
+// outcome has the shape of a run's: a decision-level Problem (weights, R,
+// chordality) and no analysis structures.
 //
 // The caller must only materialize against functions whose structural
 // fingerprint matches the one the entry was stored under; NumValues is

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -110,11 +109,6 @@ type Response struct {
 // grow engines — and their pooled scratch — without limit.
 const EngineCacheCap = 64
 
-// maxRegisters bounds a configuration's register count. Allocation tables
-// grow with it, so a request for billions of registers would exhaust the
-// process's memory; no target has more than a few hundred.
-const maxRegisters = 1 << 12
-
 // EngineCache resolves one shared engine per (registers, allocator)
 // request configuration, bounded to EngineCacheCap entries with
 // least-recently-used eviction. Engines pool their analysis scratch
@@ -173,11 +167,9 @@ func (c *EngineCache) SetBudget(b regalloc.Budget, degrade bool) {
 // "conservative"/"briggs") and biases assignment accordingly. The key folds
 // the canonical policy, so alias spellings share one engine while distinct
 // policies never do (bias changes assignments, never spills). A register
-// count over maxRegisters is an ErrInvalidConfig error.
+// count over the library's limit (4096) is an ErrInvalidConfig error from
+// regalloc.New.
 func (c *EngineCache) Get(regs int, allocName, machine, coalesce string) (*regalloc.Engine, error) {
-	if regs > maxRegisters {
-		return nil, fmt.Errorf("%w: %d registers, over the service limit of %d", raerr.ErrInvalidConfig, regs, maxRegisters)
-	}
 	pol, err := regalloc.CoalescePolicyByName(coalesce)
 	if err != nil {
 		return nil, err

@@ -489,6 +489,7 @@ func h2cTransport() http.RoundTripper {
 // has is answered with a typed configuration error instead of sizing
 // allocation tables by it, and such a default is a startup error.
 func TestRegisterCountBounded(t *testing.T) {
+	const maxRegisters = 1 << 12 // the library's bound, checked by regalloc.New
 	s := newTestServer(t, Config{})
 	for _, regs := range []int{maxRegisters + 1, 1 << 40} {
 		w, resp := postJSON(t, s.Handler(), Request{IR: tinyFunc, Registers: regs})

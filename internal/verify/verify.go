@@ -200,6 +200,22 @@ func CheckFunc(f *ir.Func, opts Options) error {
 	return nil
 }
 
+// CheckOutcome re-checks one pipeline outcome at r registers against
+// liveness recomputed from out.F: invariant 1 (at most r allocated values
+// live at any point) and, when the outcome carries a register map,
+// invariant 2. It trusts nothing of the outcome's Problem, which carries
+// decisions only.
+func CheckOutcome(out *core.Outcome, r int) error {
+	info := liveness.Compute(out.F)
+	if err := checkAllocPressure(info, out, r); err != nil {
+		return err
+	}
+	if out.RegisterOf != nil {
+		return checkAssignment(info, out, r)
+	}
+	return nil
+}
+
 // checkAllocPressure re-derives invariant 1 from the per-point live sets:
 // at most R allocated values live anywhere.
 func checkAllocPressure(info *liveness.Info, out *core.Outcome, r int) error {

@@ -41,6 +41,17 @@ func TestNewValidatesOptions(t *testing.T) {
 	if _, err := regalloc.New(regalloc.WithRegisters(0)); !errors.Is(err, regalloc.ErrInvalidConfig) {
 		t.Errorf("WithRegisters(0): err = %v, want ErrInvalidConfig", err)
 	}
+	// More registers than any target has fail at New, with or without a
+	// machine, before anything is sized by the count.
+	for _, opts := range [][]regalloc.Option{
+		{regalloc.WithRegisters(1 << 40)},
+		{regalloc.WithRegisters(4097)},
+		{regalloc.WithRegisters(1 << 40), regalloc.WithMachine("armv7")},
+	} {
+		if _, err := regalloc.New(opts...); !errors.Is(err, regalloc.ErrInvalidConfig) {
+			t.Errorf("huge register count: err = %v, want ErrInvalidConfig", err)
+		}
+	}
 	if _, err := regalloc.New(regalloc.WithRegisters(4), regalloc.WithJobs(-1)); !errors.Is(err, regalloc.ErrInvalidConfig) {
 		t.Errorf("WithJobs(-1): err = %v, want ErrInvalidConfig", err)
 	}

@@ -172,7 +172,8 @@ type options struct {
 type Option func(*options)
 
 // WithRegisters sets the register count R the engine allocates for.
-// Required; New rejects engines without it.
+// Required; New rejects engines without it, and counts over 4096 (more
+// than any target has) with ErrInvalidConfig.
 func WithRegisters(n int) Option { return func(o *options) { o.registers = n } }
 
 // WithAllocator selects the allocation algorithm by registry name
@@ -218,13 +219,13 @@ func WithTrustedCostModel() Option { return func(o *options) { o.trustedCost = t
 // configuration were seen before cost roughly a fingerprint plus a copy
 // instead of a full pipeline run. Results are byte-identical with the cache
 // on or off — allocation is deterministic, which is what makes the cache
-// sound — but cache-hit outcomes are decision-level: they carry the spill
-// set, costs, assignment and rewritten body, not the analysis structures
-// (Outcome.Cliques, Outcome.Build and the Problem's interference
-// representation are absent), and a hit does not annotate the input
-// function with loop depths. Admission is 2Q-style: an outcome is stored
-// on the second sighting of its fingerprint, so duplication-free traffic
-// pays only the hash.
+// sound — and hit and miss outcomes have one shape: every Outcome is
+// decision-level, carrying the spill set, costs, assignment and rewritten
+// body but no analysis structures (its Problem has weights, R and
+// chordality only; use Inspect for the interference structure), and
+// neither annotates the input function with loop depths. Admission is
+// 2Q-style: an outcome is stored on the second sighting of its fingerprint,
+// so duplication-free traffic pays only the hash.
 func WithCache(capacity int) Option { return func(o *options) { o.cacheSize = capacity } }
 
 // WithSharedCache attaches an existing cache (NewCache) to the engine, so
@@ -292,6 +293,9 @@ func New(opt ...Option) (*Engine, error) {
 	}
 	if o.registers < 1 {
 		return nil, fmt.Errorf("%w: WithRegisters(n ≥ 1) is required, got %d", raerr.ErrInvalidConfig, o.registers)
+	}
+	if err := core.CheckRegisters(o.registers); err != nil {
+		return nil, err
 	}
 	if o.jobs < 0 {
 		return nil, fmt.Errorf("%w: WithJobs(%d) is negative", raerr.ErrInvalidConfig, o.jobs)

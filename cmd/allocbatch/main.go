@@ -26,6 +26,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -235,10 +236,10 @@ intake:
 			break intake
 		default:
 		}
-		line, err := br.ReadString('\n')
-		if trimmed := strings.TrimSpace(line); trimmed != "" {
+		line, err := br.ReadBytes('\n')
+		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
 			s := &slot{done: make(chan service.Response, 1)}
-			s.err = json.Unmarshal([]byte(trimmed), &s.req)
+			s.err = service.DecodeRequest(trimmed, &s.req)
 			pending <- s
 			work <- s
 		}

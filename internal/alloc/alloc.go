@@ -19,6 +19,7 @@
 package alloc
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -298,10 +299,16 @@ func (r *Result) SpillCost(p *Problem) float64 {
 
 // Validate checks that the allocation respects every pressure constraint
 // (≤ R allocated per live set). On chordal instances this is equivalent to
-// the allocated subgraph being R-colourable.
+// the allocated subgraph being R-colourable. A decision-level problem (an
+// Outcome's: vertices but no graph or clique structure, on which Graph
+// panics) has no constraints to check them against, and Validate refuses
+// it: verify.CheckOutcome re-derives the constraints from the function.
 func (p *Problem) Validate(r *Result) error {
 	if len(r.Allocated) != p.N() {
 		return fmt.Errorf("alloc: result covers %d of %d vertices", len(r.Allocated), p.N())
+	}
+	if p.g == nil && p.Cliques == nil && p.N() > 0 {
+		return errDecisionLevel
 	}
 	if p.Constraints != nil && p.Cliques != nil {
 		f := p.Cliques.F
@@ -325,6 +332,8 @@ func (p *Problem) Validate(r *Result) error {
 	}
 	return nil
 }
+
+var errDecisionLevel = errors.New("alloc: Validate on a decision-level problem, which carries no pressure constraints; check the outcome with verify.CheckOutcome")
 
 // ValidateClasses is Validate for a machine-constrained instance
 // (Constraints and Cliques set) whose register classes the caller already

@@ -31,29 +31,31 @@ func (a *Arena) Reset() {
 // grow* ensure room for n more elements, allocating a fresh chunk when the
 // current one is exhausted (previously carved slices keep the old chunk
 // alive until the next GC cycle after their own death).
-
-// The new chunk is exactly the request for a virgin arena (a one-shot use
-// costs no more than direct allocation) and doubles from there, so reused
-// arenas converge on zero growths per Reset cycle.
+//
+// The offset into the current chunk always equals the Reset cycle's whole
+// demand so far: a fresh chunk is sized to that demand plus the request (at
+// least twice the old chunk, so a long cycle grows geometrically) and the
+// carving continues at the same offset, leaving the new chunk's prefix
+// unused until the next Reset. So a cycle ends with a chunk that holds its
+// entire demand, and an arena replaying the same carvings allocates nothing
+// from its second cycle on. A virgin arena's first chunk is exactly the
+// request, so a one-shot use costs no more than direct allocation.
 
 func (a *Arena) growWords(n int) {
 	if a.wOff+n > len(a.words) {
-		a.words = make([]uint64, max(n, 2*len(a.words)))
-		a.wOff = 0
+		a.words = make([]uint64, max(a.wOff+n, 2*len(a.words)))
 	}
 }
 
 func (a *Arena) growHdrs(n int) {
 	if a.hOff+n > len(a.hdrs) {
-		a.hdrs = make([]Set, max(n, 2*len(a.hdrs)))
-		a.hOff = 0
+		a.hdrs = make([]Set, max(a.hOff+n, 2*len(a.hdrs)))
 	}
 }
 
 func (a *Arena) growInts(n int) {
 	if a.iOff+n > len(a.ints) {
-		a.ints = make([]int, max(n, 2*len(a.ints)))
-		a.iOff = 0
+		a.ints = make([]int, max(a.iOff+n, 2*len(a.ints)))
 	}
 }
 

@@ -72,3 +72,27 @@ func TestArenaInts(t *testing.T) {
 	}
 	_ = u
 }
+
+// TestArenaSettlesAfterOneCycle replays one carving sequence that overflows
+// a virgin arena several times: from the second Reset cycle on, the arena
+// must serve the whole sequence from the chunks the first cycle left, with
+// no allocation at all.
+func TestArenaSettlesAfterOneCycle(t *testing.T) {
+	var a Arena
+	cycle := func() {
+		a.Reset()
+		for i := 1; i <= 6; i++ {
+			s := a.Ints(10 * i * i)
+			s = append(s, i)
+			_ = a.Set(640 * i)
+			slab := a.Slab(i, 100*i)
+			slab[0].Add(i)
+			_ = s
+		}
+	}
+	for c := 2; c <= 4; c++ {
+		if got := testing.AllocsPerRun(1, cycle); got != 0 {
+			t.Fatalf("cycle %d allocated %v times, want 0", c, got)
+		}
+	}
+}

@@ -735,9 +735,8 @@ func (r *Runner) spillAll(d *run, trip *raerr.BudgetError) (*Outcome, error) {
 	for vx, val := range valueOf {
 		w[vx] = costs[val]
 	}
-	// A literal Problem: no live sets means Validate is trivially satisfied,
-	// which is exact — with nothing allocated, no pressure constraint can
-	// bind.
+	// A decision-level Problem like every Outcome's: with nothing allocated,
+	// no pressure constraint can bind, so there is nothing to validate.
 	p := &alloc.Problem{R: cfg.Registers, Weight: w, Name: f.Name}
 	res := &alloc.Result{Allocated: make([]bool, len(valueOf)), Allocator: "spill-all"}
 	out := &Outcome{

@@ -42,8 +42,10 @@ type Entry struct {
 	rewritten *ir.Func
 	// baseValues is NumValues of the original input function; rewritten
 	// value IDs ≥ baseValues are reload temporaries introduced by the
-	// spill rewrite.
+	// spill rewrite, and reloadSlot[i] is the slot value baseValues+i
+	// reloads.
 	baseValues int
+	reloadSlot []int
 	bytes      int64
 }
 
@@ -51,18 +53,19 @@ type Entry struct {
 // (no interference graph, clique structure or live sets), which is what
 // keeps a hit at ~hash+copy cost.
 func NewEntry(out *core.Outcome) *Entry {
+	ints := newIntSlab(out.VertexOf, out.ValueOf, out.SpilledValues, out.RegisterOf)
 	e := &Entry{
 		allocator:  out.Result.Allocator,
 		r:          out.Problem.R,
 		chordal:    out.Problem.Chordal,
 		weight:     cloneFloats(out.Problem.Weight),
-		vertexOf:   cloneInts(out.VertexOf),
-		valueOf:    cloneInts(out.ValueOf),
+		vertexOf:   ints.clone(out.VertexOf),
+		valueOf:    ints.clone(out.ValueOf),
 		allocated:  cloneBools(out.Result.Allocated),
-		spilled:    cloneInts(out.SpilledValues),
+		spilled:    ints.clone(out.SpilledValues),
 		spillCost:  out.SpillCost,
 		maxLive:    out.MaxLive,
-		registerOf: cloneInts(out.RegisterOf),
+		registerOf: ints.clone(out.RegisterOf),
 		baseValues: out.F.NumValues,
 	}
 	if out.Coalesce != nil {
@@ -73,8 +76,14 @@ func NewEntry(out *core.Outcome) *Entry {
 		g := out.Rewritten.Clone()
 		g.Name = ""
 		g.ValueName = nil
+		e.reloadSlot = make([]int, g.NumValues-e.baseValues)
 		for _, b := range g.Blocks {
 			b.Name = ""
+			for i := range b.Instrs {
+				if ins := &b.Instrs[i]; ins.Op == ir.OpReload && ins.Def >= e.baseValues {
+					e.reloadSlot[ins.Def-e.baseValues] = int(ins.Imm)
+				}
+			}
 		}
 		e.rewritten = g
 	}
@@ -87,7 +96,10 @@ func NewEntry(out *core.Outcome) *Entry {
 // poison the cache) and all naming is re-bound to f, so a hit is
 // byte-identical to what a full run on f would have produced. The returned
 // outcome has the shape of a run's: a decision-level Problem (weights, R,
-// chordality) and no analysis structures.
+// chordality) and no analysis structures. The Outcome, its Problem and its
+// Result are one allocation, and VertexOf, ValueOf, SpilledValues and
+// RegisterOf are capacity-clipped parts of one slab, so appending to one
+// of them never writes into another.
 //
 // The caller must only materialize against functions whose structural
 // fingerprint matches the one the entry was stored under; NumValues is
@@ -96,21 +108,26 @@ func (e *Entry) Materialize(f *ir.Func) *core.Outcome {
 	if f.NumValues != e.baseValues {
 		return nil
 	}
-	out := &core.Outcome{
-		F: f,
-		Problem: &alloc.Problem{
-			R:       e.r,
-			Weight:  cloneFloats(e.weight),
-			Chordal: e.chordal,
-			Name:    f.Name,
-		},
-		Result:        &alloc.Result{Allocated: cloneBools(e.allocated), Allocator: e.allocator},
-		VertexOf:      cloneInts(e.vertexOf),
-		ValueOf:       cloneInts(e.valueOf),
-		SpilledValues: cloneInts(e.spilled),
+	o := &struct {
+		out core.Outcome
+		p   alloc.Problem
+		res alloc.Result
+	}{
+		p:   alloc.Problem{R: e.r, Weight: cloneFloats(e.weight), Chordal: e.chordal, Name: f.Name},
+		res: alloc.Result{Allocated: cloneBools(e.allocated), Allocator: e.allocator},
+	}
+	ints := newIntSlab(e.vertexOf, e.valueOf, e.spilled, e.registerOf)
+	out := &o.out
+	*out = core.Outcome{
+		F:             f,
+		Problem:       &o.p,
+		Result:        &o.res,
+		VertexOf:      ints.clone(e.vertexOf),
+		ValueOf:       ints.clone(e.valueOf),
+		SpilledValues: ints.clone(e.spilled),
 		SpillCost:     e.spillCost,
 		MaxLive:       e.maxLive,
-		RegisterOf:    cloneInts(e.registerOf),
+		RegisterOf:    ints.clone(e.registerOf),
 	}
 	if e.coalesce != nil {
 		st := *e.coalesce
@@ -134,7 +151,7 @@ func (e *Entry) rebind(f *ir.Func) *ir.Func {
 		b.Name = f.Blocks[i].Name
 	}
 	if f.ValueName != nil || g.NumValues > e.baseValues {
-		regassign.NameReloads(g, f, nil)
+		regassign.NameReloads(g, f, e.reloadSlot, nil)
 	}
 	return g
 }
@@ -154,7 +171,7 @@ const (
 func (e *Entry) size() int64 {
 	const entryOverhead = 192
 	n := int64(entryOverhead)
-	n += intBytes * int64(len(e.vertexOf)+len(e.valueOf)+len(e.spilled)+len(e.registerOf))
+	n += intBytes * int64(len(e.vertexOf)+len(e.valueOf)+len(e.spilled)+len(e.registerOf)+len(e.reloadSlot))
 	n += 8 * int64(len(e.weight))
 	n += int64(len(e.allocated))
 	if g := e.rewritten; g != nil {
@@ -174,11 +191,28 @@ func (e *Entry) size() int64 {
 // Bytes reports the entry's estimated resident size.
 func (e *Entry) Bytes() int64 { return e.bytes }
 
-func cloneInts(s []int) []int {
-	if s == nil {
+// intSlab is one allocation holding copies of several []int.
+type intSlab []int
+
+// newIntSlab returns an empty slab with room for copies of every s.
+func newIntSlab(s ...[]int) intSlab {
+	n := 0
+	for _, x := range s {
+		n += len(x)
+	}
+	return make(intSlab, 0, n)
+}
+
+// clone copies s into the slab and returns the copy, capacity-clipped so
+// that appending to it reallocates instead of writing into the next copy.
+// An empty s clones to nil.
+func (slab *intSlab) clone(s []int) []int {
+	if len(s) == 0 {
 		return nil
 	}
-	return append([]int(nil), s...)
+	start := len(*slab)
+	*slab = append(*slab, s...)
+	return (*slab)[start:len(*slab):len(*slab)]
 }
 
 func cloneFloats(s []float64) []float64 {

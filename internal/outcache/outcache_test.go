@@ -2,6 +2,8 @@ package outcache_test
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -167,6 +169,60 @@ func vandalize(out *core.Outcome) {
 			for i := range b.Instrs {
 				b.Instrs[i].Imm = -123456
 			}
+		}
+	}
+}
+
+// TestHitOwnsEachSlice: the int slices of a materialized Outcome share one
+// slab and its Outcome, Problem and Result one allocation, so each slice is
+// checked alone: appending to it and overwriting it must leave its sibling
+// slices, and the next hit from the same entry, unchanged.
+func TestHitOwnsEachSlice(t *testing.T) {
+	var f *ir.Func
+	var out *core.Outcome
+	for seed := int64(1); out == nil || len(out.SpilledValues) == 0; seed++ {
+		f = irgen.FromSeed(seed)
+		out = runFull(t, f)
+	}
+	e := outcache.NewEntry(out)
+	want := e.Materialize(f)
+	slices := func(o *core.Outcome) []*[]int {
+		return []*[]int{&o.VertexOf, &o.ValueOf, &o.SpilledValues, &o.RegisterOf}
+	}
+	for i := range slices(want) {
+		hit := e.Materialize(f)
+		s := slices(hit)[i]
+		*s = append(*s, 1, 2, 3)
+		for j := range *s {
+			(*s)[j] = -9
+		}
+		hit.Problem.Weight = append(hit.Problem.Weight, 5)
+		hit.Result.Allocated = append(hit.Result.Allocated, true)
+		for j, sib := range slices(hit) {
+			if j != i && !reflect.DeepEqual(*sib, *slices(want)[j]) {
+				t.Errorf("writing slice %d of a hit changed slice %d: %v, want %v", i, j, *sib, *slices(want)[j])
+			}
+		}
+		if hit.Problem.R != want.Problem.R || hit.Result.Allocator != want.Result.Allocator {
+			t.Errorf("writing slice %d of a hit changed its Problem or Result", i)
+		}
+		if next := e.Materialize(f); !reflect.DeepEqual(next, want) {
+			t.Fatalf("writing slice %d of a hit changed the next hit", i)
+		}
+	}
+}
+
+// TestDecisionLevelProblemRefusesValidate: the Problem of a run's Outcome
+// and of a materialized hit carries no pressure constraints, so Validate
+// refuses it instead of passing silently, and names the check that applies.
+func TestDecisionLevelProblemRefusesValidate(t *testing.T) {
+	f := irgen.FromSeed(23)
+	miss := runFull(t, f)
+	hit := outcache.NewEntry(miss).Materialize(f)
+	for name, o := range map[string]*core.Outcome{"miss": miss, "hit": hit} {
+		err := o.Problem.Validate(o.Result)
+		if err == nil || !strings.Contains(err.Error(), "verify.CheckOutcome") {
+			t.Errorf("%s: Validate on a decision-level problem = %v, want an error naming verify.CheckOutcome", name, err)
 		}
 	}
 }

@@ -44,8 +44,10 @@ type Scratch struct {
 	// Verify's register → holding value table.
 	seen []int
 	// InsertSpillCode: phi-operand reloads grouped by the predecessor they
-	// land in (offsets, fill cursors, slots, defs), and per-slot names.
+	// land in (offsets, fill cursors, slots, defs), the slot of every
+	// reload temporary, and per-slot names.
 	land, fill, landSlot, landDef []int
+	reloadSlot                    []int
 	names                         []string
 }
 

@@ -1,6 +1,10 @@
 package regassign
 
-import "repro/internal/ir"
+import (
+	"strings"
+
+	"repro/internal/ir"
+)
 
 // InsertSpillCode returns a copy of f with spill-everywhere code for the
 // spilled values (f itself is not modified): a spill (store) is inserted
@@ -17,8 +21,8 @@ import "repro/internal/ir"
 // The copy is built straight from f rather than cloned and then edited: a
 // counting pass sizes it first, so its blocks, instructions and int lists
 // (uses, targets, clobbers, CFG edges, spill operands) are carved from
-// three exact-size slabs, the name map is sized once, and each reloaded
-// slot's name is built once.
+// three exact-size slabs, the name map is sized once, and the names of all
+// reloaded slots share one string.
 func InsertSpillCode(f *ir.Func, spilled []bool) *ir.Func {
 	return new(Scratch).InsertSpillCode(f, spilled)
 }
@@ -133,13 +137,15 @@ func (s *Scratch) InsertSpillCode(f *ir.Func, spilled []bool) *ir.Func {
 		return ints[start:len(ints):len(ints)]
 	}
 	instrs := make([]ir.Instr, 0, ninstr)
+	s.reloadSlot = grow(s.reloadSlot, reloads)
 	// reload appends the reload of slot into the new value def, which
 	// takes the slot's class (but never its pin: only the original def
-	// range keeps an ABI color).
+	// range keeps an ABI color), and records the slot for NameReloads.
 	reload := func(slot, def int) {
 		if c := f.ClassOf(slot); c != ir.ClassGPR {
 			g.ValueClass[def] = c
 		}
+		s.reloadSlot[def-f.NumValues] = slot
 		instrs = append(instrs, ir.Instr{Op: ir.OpReload, Def: def, Imm: int64(slot)})
 	}
 	spill := func(v int) {
@@ -221,51 +227,56 @@ func (s *Scratch) InsertSpillCode(f *ir.Func, spilled []bool) *ir.Func {
 		}
 		nb.Instrs = instrs[start:len(instrs):len(instrs)]
 	}
-	s.names = NameReloads(g, f, s.names)
+	s.names = NameReloads(g, f, s.reloadSlot, s.names)
 	return g
 }
 
 // NameReloads gives g — a spill-code rewrite of f whose reload temporaries
-// are the values from f.NumValues on — its value names: f's, plus
-// "<slot>.r" for every temporary, after f's name of the slot it reloads.
-// This is the one naming rule of reload temporaries; the outcome cache
-// re-binds cached rewrites through it too. The map is sized exactly, and
-// each slot's name is built once, in slotNames: value-indexed reusable
-// memory (nil allocates it), returned for the next call.
-func NameReloads(g, f *ir.Func, slotNames []string) []string {
+// are the values from f.NumValues on, value f.NumValues+i reloading slot
+// reloadSlot[i] — its value names: f's, plus "<slot>.r" for every
+// temporary, after f's name of the slot it reloads. This is the one naming
+// rule of reload temporaries; the outcome cache re-binds cached rewrites
+// through it too. The map is sized exactly, and every slot's name is
+// written once, into one string shared by all of them; slotNames is
+// value-indexed reusable memory (nil allocates it), returned for the next
+// call.
+func NameReloads(g, f *ir.Func, reloadSlot []int, slotNames []string) []string {
 	base := f.NumValues
-	g.ValueName = make(map[int]string, len(f.ValueName)+g.NumValues-base)
+	g.ValueName = make(map[int]string, len(f.ValueName)+len(reloadSlot))
 	for k, v := range f.ValueName {
 		g.ValueName[k] = v
 	}
-	if g.NumValues == base {
+	if len(reloadSlot) == 0 {
 		return slotNames
 	}
 	slotNames = grow(slotNames, base)
 	clear(slotNames)
 	var buf [64]byte
-	name := func(slot int) string {
-		return string(append(f.AppendName(buf[:0], slot), ".r"...))
-	}
-	for _, b := range g.Blocks {
-		for i := range b.Instrs {
-			ins := &b.Instrs[i]
-			if ins.Op != ir.OpReload || ins.Def < base {
-				continue
-			}
-			slot := int(ins.Imm)
-			if slot < 0 || slot >= base {
-				g.ValueName[ins.Def] = name(slot)
-				continue
-			}
-			if slotNames[slot] == "" {
-				slotNames[slot] = name(slot)
-			}
-			g.ValueName[ins.Def] = slotNames[slot]
+	size := 0
+	for _, slot := range reloadSlot {
+		if slotNames[slot] == "" {
+			slotNames[slot] = pendingName
+			size += len(f.AppendName(buf[:0], slot)) + len(".r")
 		}
+	}
+	var names strings.Builder
+	names.Grow(size)
+	for i, slot := range reloadSlot {
+		if slotNames[slot] == pendingName {
+			start := names.Len()
+			names.Write(f.AppendName(buf[:0], slot))
+			names.WriteString(".r")
+			// A Builder only appends, so an earlier String stays valid.
+			slotNames[slot] = names.String()[start:]
+		}
+		g.ValueName[base+i] = slotNames[slot]
 	}
 	return slotNames
 }
+
+// pendingName marks, in NameReloads, a slot whose name is yet to be
+// written; no written name equals it, since every one ends in ".r".
+const pendingName = "?"
 
 // grow returns s with length n, reusing its memory when large enough; the
 // contents are unspecified.

@@ -31,32 +31,9 @@ func (w *headerCounter) WriteHeader(code int) {
 // metric under that status, and a body holding exactly one Response in the
 // reference encoding — with a non-empty error on every non-200 answer.
 func FuzzServeRequest(f *testing.F) {
-	wrap := func(req Request) []byte {
-		b, err := json.Marshal(req)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
+	for _, body := range serveRequestSeeds(f) {
+		f.Add(body)
 	}
-	files, _ := filepath.Glob(filepath.Join("..", "ir", "testdata", "*.ir"))
-	modules, _ := filepath.Glob(filepath.Join("..", "ir", "testdata", "modules", "*.ir"))
-	for _, file := range append(files, modules...) {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(wrap(Request{ID: filepath.Base(file), IR: string(src), Print: true}))
-		f.Add(wrap(Request{Module: string(src), Machine: "armv7", Registers: 6}))
-	}
-	f.Add(wrap(Request{ID: "m", Module: tinyModule, Coalesce: "aggressive"}))
-	f.Add(wrap(Request{ID: "st", Stats: true}))
-	f.Add(wrap(Request{IR: tinyFunc, Registers: 1 << 40}))
-	f.Add(wrap(Request{IR: tinyFunc, Module: tinyModule}))
-	f.Add([]byte(`{"id": "x", "ir": 7}`))
-	f.Add([]byte("{not json"))
-	f.Add([]byte(""))
-	f.Add([]byte(`{"ir":"func f ssa {\nb0:\n  ret\n}"}{"stats":true}`))
-	f.Add(wrap(Request{IR: tinyFunc + strings.Repeat(" ", fuzzMaxBody)}))
 
 	s, err := New(Config{Registers: 4, CacheSize: 64, MaxBodyBytes: fuzzMaxBody, RequestTimeout: 10 * time.Second})
 	if err != nil {
@@ -103,6 +80,41 @@ func FuzzServeRequest(f *testing.F) {
 			t.Fatalf("status %d without an error: %q", rec.Code, rec.Body)
 		}
 	})
+}
+
+// serveRequestSeeds is the seed corpus of FuzzServeRequest: every IR test
+// file as a function request and as a module request, the other request
+// kinds, and malformed bodies.
+func serveRequestSeeds(tb testing.TB) [][]byte {
+	wrap := func(req Request) []byte {
+		b, err := json.Marshal(req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return b
+	}
+	var seeds [][]byte
+	files, _ := filepath.Glob(filepath.Join("..", "ir", "testdata", "*.ir"))
+	modules, _ := filepath.Glob(filepath.Join("..", "ir", "testdata", "modules", "*.ir"))
+	for _, file := range append(files, modules...) {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds,
+			wrap(Request{ID: filepath.Base(file), IR: string(src), Print: true}),
+			wrap(Request{Module: string(src), Machine: "armv7", Registers: 6}))
+	}
+	return append(seeds,
+		wrap(Request{ID: "m", Module: tinyModule, Coalesce: "aggressive"}),
+		wrap(Request{ID: "st", Stats: true}),
+		wrap(Request{IR: tinyFunc, Registers: 1 << 40}),
+		wrap(Request{IR: tinyFunc, Module: tinyModule}),
+		[]byte(`{"id": "x", "ir": 7}`),
+		[]byte("{not json"),
+		[]byte(""),
+		[]byte(`{"ir":"func f ssa {\nb0:\n  ret\n}"}{"stats":true}`),
+		wrap(Request{IR: tinyFunc + strings.Repeat(" ", fuzzMaxBody)}))
 }
 
 // fuzzMaxBody is the body limit of FuzzServeRequest's server: small, so

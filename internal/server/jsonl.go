@@ -401,12 +401,21 @@ func fillOutcome(resp *Response, f *irx.Func, out *regalloc.Outcome, print bool,
 	resp.Values = out.Problem.N()
 	resp.MaxLive = out.MaxLive
 	resp.SpillCost = out.SpillCost
-	for _, v := range out.SpilledValues {
-		resp.Spilled = append(resp.Spilled, f.NameOf(v))
+	if len(out.SpilledValues) > 0 {
+		resp.Spilled = make([]string, len(out.SpilledValues))
+		for i, v := range out.SpilledValues {
+			resp.Spilled[i] = f.NameOf(v)
+		}
+		sort.Strings(resp.Spilled)
 	}
-	sort.Strings(resp.Spilled)
 	if out.RegisterOf != nil {
-		resp.Assignment = make(map[string]int)
+		n := 0
+		for _, reg := range out.RegisterOf {
+			if reg >= 0 {
+				n++
+			}
+		}
+		resp.Assignment = make(map[string]int, n)
 		for val, reg := range out.RegisterOf {
 			if reg >= 0 {
 				resp.Assignment[f.NameOf(val)] = reg

@@ -31,7 +31,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -355,7 +354,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := DecodeRequest(body, &req); err != nil {
 		obs.ObserveStage(StageDecode, time.Since(start).Seconds())
 		writeJSONError(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
@@ -386,7 +385,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	bufs.out = bufs.enc.append(bufs.out[:0], &resp)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_, _ = w.Write(bufs.out) // client gone mid-write: nothing useful to do
 	obs.ObserveStage(StageEncode, time.Since(start).Seconds())
@@ -439,10 +438,15 @@ func readBody(buf []byte, r io.Reader, length int64) ([]byte, error) {
 	}
 }
 
+// jsonContentType is the Content-Type header value of every allocation
+// answer, shared so that setting it allocates nothing; net/http only reads
+// it.
+var jsonContentType = []string{"application/json"}
+
 // writeJSONError answers an HTTP-level failure with the in-band error
 // schema, so clients parse one response shape everywhere.
 func writeJSONError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_, _ = w.Write(appendResponse(nil, &Response{Error: msg}))
 }

@@ -64,6 +64,12 @@ type DegradationObserver = server.DegradationObserver
 // move-elimination reports from coalescing-biased allocations.
 type CoalesceObserver = server.CoalesceObserver
 
+// DecodeRequest decodes one JSON request body into req (zeroed first):
+// the Request and the error are those encoding/json gives, which defines
+// the accepted language; canonical bodies take a reflection-free fast path
+// that copies every decoded string into one allocation.
+var DecodeRequest = server.DecodeRequest
+
 // Do serves one request against an engine table — the single-request core
 // shared by the HTTP server and the allocbatch JSONL mode.
 var Do = server.Do

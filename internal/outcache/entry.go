@@ -76,15 +76,10 @@ func NewEntry(out *core.Outcome) *Entry {
 		g := out.Rewritten.Clone()
 		g.Name = ""
 		g.ValueName = nil
-		e.reloadSlot = make([]int, g.NumValues-e.baseValues)
 		for _, b := range g.Blocks {
 			b.Name = ""
-			for i := range b.Instrs {
-				if ins := &b.Instrs[i]; ins.Op == ir.OpReload && ins.Def >= e.baseValues {
-					e.reloadSlot[ins.Def-e.baseValues] = int(ins.Imm)
-				}
-			}
 		}
+		e.reloadSlot = regassign.ReloadSlots(g, e.baseValues, nil)
 		e.rewritten = g
 	}
 	e.bytes = e.size()

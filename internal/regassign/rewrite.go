@@ -274,6 +274,23 @@ func NameReloads(g, f *ir.Func, reloadSlot []int, slotNames []string) []string {
 	return slotNames
 }
 
+// ReloadSlots returns the slot of every reload temporary of g, a
+// spill-code rewrite of a function of base values: value base+i reloads
+// slot ReloadSlots(g, base, dst)[i], the one its OpReload names. dst is
+// reused when large enough. It recovers, from a rewrite alone, the table
+// InsertSpillCode hands NameReloads.
+func ReloadSlots(g *ir.Func, base int, dst []int) []int {
+	dst = grow(dst, g.NumValues-base)
+	for _, b := range g.Blocks {
+		for i := range b.Instrs {
+			if ins := &b.Instrs[i]; ins.Op == ir.OpReload && ins.Def >= base {
+				dst[ins.Def-base] = int(ins.Imm)
+			}
+		}
+	}
+	return dst
+}
+
 // pendingName marks, in NameReloads, a slot whose name is yet to be
 // written; no written name equals it, since every one ends in ".r".
 const pendingName = "?"

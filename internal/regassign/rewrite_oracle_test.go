@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -152,7 +153,8 @@ func insertSpillCodeClone(f *ir.Func, spilled []bool) *ir.Func {
 // join whose predecessors each receive several phi-operand reloads, and the
 // IR corpus, each under
 // three spill masks — none, a random 30%, all — must rewrite to the same
-// text, value count, value names, classes, pre-colors and loop depths.
+// text, value count, value names, classes, pre-colors and loop depths, and
+// ReloadSlots must read back the slot table the rewrite recorded.
 func TestInsertSpillCodeMatchesCloneOracle(t *testing.T) {
 	var funcs []*ir.Func
 	for seed := int64(0); seed < 300; seed++ {
@@ -198,6 +200,11 @@ func TestInsertSpillCodeMatchesCloneOracle(t *testing.T) {
 			}
 			if err := sameRewrite(got, want); err != nil {
 				t.Fatalf("%s mask=%s: %v\ngot:\n%s\nwant:\n%s", f.Name, mask, err, got, want)
+			}
+			// A rewrite without reloads leaves the scratch's table as it was.
+			slots := ReloadSlots(got, f.NumValues, nil)
+			if len(slots) != got.NumValues-f.NumValues || len(slots) > 0 && !slices.Equal(slots, s.reloadSlot) {
+				t.Fatalf("%s mask=%s: ReloadSlots %v, the rewrite recorded %v", f.Name, mask, slots, s.reloadSlot)
 			}
 			if pkg := InsertSpillCode(f, spilled); sameRewrite(pkg, want) != nil {
 				t.Fatalf("%s mask=%s: package-level rewrite differs from the scratch one", f.Name, mask)

@@ -60,7 +60,8 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
 	perReq := perPass / float64(len(bodies))
 	t.Logf("%d requests: %.1f allocs/request, hit ratio %.2f", len(bodies), perReq, float64(hits)/float64(hits+misses))
-	// Measured: 21.3 allocs/request at a 0.84 hit ratio.
+	// Measured: 22.3 allocs/request at a 0.84 hit ratio (the IR of each
+	// request gets its own string, apart from the short fields).
 	const ceiling = 23
 	if perReq > ceiling {
 		t.Errorf("%.1f allocs per warmed request, ceiling %d", perReq, ceiling)

@@ -19,7 +19,10 @@ import (
 // escapes (no \u) and valid UTF-8. Everything else — errors, unknown or
 // case-variant keys, \u escapes, null, non-integer numbers, invalid UTF-8 —
 // goes to json.Unmarshal. Either way every decoded string is a copy, so req
-// never points into data; the fast path copies them all into one string.
+// never points into data. The fast path copies the strings of at most
+// sharedMax bytes into one string and gives each longer one its own, so a
+// short field kept for long (an allocator or machine name keying an engine)
+// never keeps a large IR, Module or ID alive.
 func DecodeRequest(data []byte, req *Request) error {
 	if decodeCanonical(data, req) {
 		return nil
@@ -40,6 +43,11 @@ const (
 	fieldCoalesce
 	numStringFields
 )
+
+// sharedMax is the longest decoded string the fast path copies into the
+// request's shared string. With six string fields that string holds at most
+// 6·sharedMax bytes, and a longer string shares its memory with nothing.
+const sharedMax = 64
 
 // rawString is one string value as it stands in the body: the bytes
 // between its quotes, its decoded length and whether it holds an escape.
@@ -106,21 +114,29 @@ func decodeCanonical(data []byte, req *Request) bool {
 	if d.space(); d.i != len(data) {
 		return false
 	}
-	size := 0
+	shared := 0
 	for _, s := range strs {
-		size += s.n
+		if s.n <= sharedMax {
+			shared += s.n
+		}
 	}
 	var b strings.Builder
-	b.Grow(size)
+	b.Grow(shared)
 	var vals [numStringFields]string
 	for f, s := range strs {
-		if s.n == 0 {
-			continue
+		switch {
+		case s.n == 0:
+		case s.n <= sharedMax:
+			start := b.Len()
+			d.unquote(&b, s)
+			// A Builder only appends, so an earlier String stays valid.
+			vals[f] = b.String()[start:]
+		default:
+			var own strings.Builder
+			own.Grow(s.n)
+			d.unquote(&own, s)
+			vals[f] = own.String()
 		}
-		start := b.Len()
-		d.unquote(&b, s)
-		// A Builder only appends, so an earlier String stays valid.
-		vals[f] = b.String()[start:]
 	}
 	r.ID, r.IR, r.Module = vals[fieldID], vals[fieldIR], vals[fieldModule]
 	r.Allocator, r.Machine, r.Coalesce = vals[fieldAllocator], vals[fieldMachine], vals[fieldCoalesce]

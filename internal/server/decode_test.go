@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -236,4 +237,82 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDecode(t, body)
 	})
+}
+
+// TestEngineKeysKeepNoRequestBody decodes three canonical requests of an
+// 8 MiB IR each, builds an engine from each one's allocator and machine,
+// and checks that once the requests are dropped the engine table keeps
+// none of their bodies alive: a short field must not share memory with a
+// long one.
+func TestEngineKeysKeepNoRequestBody(t *testing.T) {
+	const irBytes = 8 << 20
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	engines := NewEngineCache(nil, 1)
+	before := heap()
+	for k := 1; k <= 3; k++ {
+		body := []byte(fmt.Sprintf(`{"id":"big","allocator":"nl","machine":"armv7","registers":%d,"ir":"%s"}`,
+			k+3, strings.Repeat("x", irBytes)))
+		var req Request
+		if !decodeCanonical(body, &req) {
+			t.Fatal("the body took the slow path")
+		}
+		if _, err := engines.Get(req.Registers, req.Allocator, req.Machine, req.Coalesce); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := int64(heap()) - int64(before); grew > irBytes/2 {
+		t.Errorf("the heap grew by %d bytes after three engines were built from %d-byte requests", grew, irBytes)
+	}
+	runtime.KeepAlive(engines)
+}
+
+// BenchmarkDecodeRequest compares DecodeRequest with json.Unmarshal on a
+// regbench-shaped body, which takes the fast path, and on a 12k-value
+// GenGiant body that leaves it only near its end — at a \u escape, or at
+// an unknown key — so the fallback pays a whole wasted scan before
+// json.Unmarshal.
+func BenchmarkDecodeRequest(b *testing.B) {
+	giant, err := json.Marshal(Request{ID: "g", IR: workload.GenGiant("g", 1, 12000, 200).String()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	end := bytes.LastIndexByte(giant, '"') // the closing quote of the IR
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"canonical", regbenchBodies(b, 1, 8)[7]},
+		{"giant", giant},
+		{"giant-escape-at-end", concat(giant[:end], []byte(`\u0020`), giant[end:])},
+		{"giant-unknown-key-at-end", concat(giant[:len(giant)-1], []byte(`,"x":1}`))},
+	} {
+		if _, err := json.Marshal(json.RawMessage(c.body)); err != nil {
+			b.Fatalf("%s: %v", c.name, err)
+		}
+		b.Run(c.name+"/DecodeRequest", func(b *testing.B) {
+			b.SetBytes(int64(len(c.body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var req Request
+				if err := DecodeRequest(c.body, &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/json.Unmarshal", func(b *testing.B) {
+			b.SetBytes(int64(len(c.body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var req Request
+				if err := json.Unmarshal(c.body, &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -67,7 +67,9 @@ type CoalesceObserver = server.CoalesceObserver
 // DecodeRequest decodes one JSON request body into req (zeroed first):
 // the Request and the error are those encoding/json gives, which defines
 // the accepted language; canonical bodies take a reflection-free fast path
-// that copies every decoded string into one allocation.
+// that copies the short decoded strings into one allocation and gives each
+// long one (over 64 bytes) its own, so a kept short field never keeps a
+// large body alive.
 var DecodeRequest = server.DecodeRequest
 
 // Do serves one request against an engine table — the single-request core
